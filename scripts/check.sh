@@ -31,8 +31,8 @@
 #     combines), the fault-injection arithmetic, and the 16-bit
 #     saturating DP arithmetic must be free of undefined behavior, or
 #     corruption detection itself can't be trusted.
-#   - TSan (util_test, mr_test, service_test, plus the streaming
-#     node-graph suite): the work-stealing executor (per-worker deques,
+#   - TSan (util_test, mr_test, service_test, dfs_test, plus the
+#     node-graph and round-DAG suites): the work-stealing executor (per-worker deques,
 #     steal-half transfers, TaskGroup helping waits, the shutdown/submit
 #     race) and the async MapReduce engine built on it are
 #     lock-ordering-sensitive by design; a data race here silently
@@ -43,7 +43,11 @@
 #     node graph's pump/park state machine — one-shot queue wake-ups
 #     racing the idle transition, abort racing parked callbacks — which
 #     is exactly the machinery TSan exists for (util_test covers the
-#     BoundedQueue underneath it).
+#     BoundedQueue underneath it). The PipelineDagTest filter runs whole
+#     pipelines in both engines, where every reduce builds and writes its
+#     partition on its worker with a nested parallel BGZF deflate; the
+#     dfs suite covers concurrent Dfs::Write calls, each fanning its
+#     compress_parts deflate out as a nested TaskGroup.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -90,11 +94,13 @@ if [[ "$run_tsan" == 1 ]]; then
   echo "=== tsan: executor + mapreduce + service suites ==="
   cmake -B build-tsan -S . -DGESALL_SANITIZE=thread
   cmake --build build-tsan -j --target util_test mr_test service_test \
-    gesall_test
+    dfs_test gesall_test
   ./build-tsan/tests/util_test
   ./build-tsan/tests/mr_test
   ./build-tsan/tests/service_test
-  ./build-tsan/tests/gesall_test --gtest_filter='PipelineNodeTest.*'
+  ./build-tsan/tests/dfs_test
+  ./build-tsan/tests/gesall_test \
+    --gtest_filter='PipelineNodeTest.*:PipelineDagTest.*'
 fi
 
 echo "=== check.sh: all green ==="

@@ -181,11 +181,16 @@ Status Dfs::Write(const std::string& path, std::string_view data,
     pb.bytes =
         data.substr(static_cast<size_t>(off), static_cast<size_t>(len));
     if (options_.compress_parts && len > 0) {
-      BgzfWriter writer(&pb.stored, options_.compress_level);
-      GESALL_RETURN_NOT_OK(writer.Append(pb.bytes));
-      GESALL_RETURN_NOT_OK(writer.Flush());
+      std::vector<std::string_view> chunks;
+      for (size_t at = 0; at < pb.bytes.size(); at += kBgzfBlockSize) {
+        chunks.push_back(pb.bytes.substr(at, kBgzfBlockSize));
+      }
+      BgzfCodecStats codec;
+      GESALL_RETURN_NOT_OK(BgzfCompressChunks(
+          chunks, options_.compress_level,
+          executor_.load(std::memory_order_acquire), &pb.stored, &codec));
       pb.compressed = true;
-      pb.compress_micros = writer.stats().compress_micros;
+      pb.compress_micros = codec.compress_micros;
       pb.store_view = pb.stored;
     } else {
       pb.store_view = pb.bytes;

@@ -235,9 +235,10 @@ class Dfs {
     injector_.store(injector, std::memory_order_release);
   }
 
-  /// Executor for parallel checksum work (not owned): write-time chunk
-  /// sums fan out as tasks, and scrub/read CRC verification of large
-  /// blocks does too. Null keeps checksumming single-threaded.
+  /// Executor for parallel checksum and deflate work (not owned):
+  /// write-time chunk sums and compress_parts BGZF blocks fan out as
+  /// tasks, and scrub/read CRC verification of large blocks does too.
+  /// Null keeps both single-threaded.
   void set_executor(Executor* executor) {
     executor_.store(executor, std::memory_order_release);
   }

@@ -8,7 +8,23 @@ namespace gesall {
 
 namespace {
 constexpr char kBamMagic[4] = {'G', 'B', 'A', 'M'};
+
+// Finished chunks BuildBamPartition collects before deflating them: 1 MiB
+// of raw records, enough blocks to keep every executor worker busy.
+constexpr size_t kBamDeflateWindowChunks = 16;
+
+// The header's own leading BGZF chunk: magic, then the SAM header text.
+Result<std::string> HeaderChunk(const SamHeader& header) {
+  std::string chunk;
+  chunk.append(kBamMagic, 4);
+  BufferWriter w(&chunk);
+  w.PutString(WriteSamHeader(header));
+  if (chunk.size() > kBgzfBlockSize) {
+    return Status::InvalidArgument("BAM header exceeds one BGZF block");
+  }
+  return chunk;
 }
+}  // namespace
 
 std::string EncodeBamRecord(const SamRecord& rec) {
   std::string body;
@@ -84,19 +100,18 @@ Result<SamRecord> DecodeBamRecord(std::string_view data, size_t* offset) {
     t.type = static_cast<char>(type);
     GESALL_RETURN_NOT_OK(r.GetString(&t.value));
   }
+  if (!r.AtEnd()) {
+    return Status::Corruption("BAM record body has " +
+                              std::to_string(r.remaining()) +
+                              " bytes past its last field");
+  }
   *offset += 4 + len;
   return rec;
 }
 
 Status BamWriter::WriteHeader(const SamHeader& header) {
   if (header_written_) return Status::InvalidArgument("header already written");
-  std::string block;
-  block.append(kBamMagic, 4);
-  BufferWriter w(&block);
-  w.PutString(WriteSamHeader(header));
-  if (block.size() > kBgzfBlockSize) {
-    return Status::InvalidArgument("BAM header exceeds one BGZF block");
-  }
+  GESALL_ASSIGN_OR_RETURN(std::string block, HeaderChunk(header));
   GESALL_RETURN_NOT_OK(bgzf_.Append(block));
   GESALL_RETURN_NOT_OK(bgzf_.Flush());  // header gets its own block
   header_written_ = true;
@@ -129,6 +144,59 @@ Result<std::string> WriteBam(const SamHeader& header,
   }
   GESALL_RETURN_NOT_OK(writer.Finish());
   return out;
+}
+
+Result<std::string> BuildBamPartition(const SamHeader& header,
+                                      const std::vector<std::string>& records,
+                                      Executor* executor) {
+  // Raw bytes not yet deflated and where each chunk starts in them; the
+  // last start opens the chunk being filled. The header is the first
+  // chunk. Record chunks are cut where BamWriter flushes: before a record
+  // that would overflow the block, and after one that fills it exactly
+  // (BgzfWriter::Append flushes a full block).
+  GESALL_ASSIGN_OR_RETURN(std::string pending, HeaderChunk(header));
+  std::vector<size_t> starts = {0, pending.size()};
+  std::string bam;
+  // Deflates the chunks before starts[upto] and drops their bytes.
+  auto deflate = [&](size_t upto) -> Status {
+    std::vector<std::string_view> chunks;
+    for (size_t i = 0; i < upto; ++i) {
+      chunks.push_back(std::string_view(pending).substr(
+          starts[i], starts[i + 1] - starts[i]));
+    }
+    GESALL_RETURN_NOT_OK(
+        BgzfCompressChunks(chunks, kBgzfDefaultLevel, executor, &bam));
+    pending.erase(0, starts[upto]);
+    starts = {0};
+    return Status::OK();
+  };
+  for (const auto& v : records) {
+    size_t consumed = 0;
+    GESALL_RETURN_NOT_OK(DecodeBamRecord(v, &consumed).status());
+    if (consumed != v.size()) {
+      return Status::Corruption("BAM record value carries " +
+                                std::to_string(v.size() - consumed) +
+                                " bytes past its record");
+    }
+    if (v.size() > kBgzfBlockSize) {
+      return Status::InvalidArgument("BAM record exceeds one BGZF block");
+    }
+    if (pending.size() - starts.back() + v.size() > kBgzfBlockSize) {
+      starts.push_back(pending.size());
+    }
+    pending.append(v);
+    if (pending.size() - starts.back() == kBgzfBlockSize) {
+      starts.push_back(pending.size());
+    }
+    // Deflating a bounded window of finished chunks at a time caps the
+    // raw copy at a few blocks, however large the partition.
+    if (starts.size() > kBamDeflateWindowChunks) {
+      GESALL_RETURN_NOT_OK(deflate(starts.size() - 1));
+    }
+  }
+  starts.push_back(pending.size());
+  GESALL_RETURN_NOT_OK(deflate(starts.size() - 1));
+  return bam;
 }
 
 Result<SamHeader> ReadBamHeader(std::string_view bam) {

@@ -20,10 +20,14 @@
 
 namespace gesall {
 
+class Executor;
+
 /// Serializes one record into the custom binary layout (length-prefixed).
 std::string EncodeBamRecord(const SamRecord& rec);
 
 /// Decodes one record from `data` starting at *offset; advances *offset.
+/// Corruption when the length prefix covers bytes the record's fields
+/// do not (a body with unparsed trailing bytes).
 Result<SamRecord> DecodeBamRecord(std::string_view data, size_t* offset);
 
 /// \brief Streaming BAM writer: header first, then records, chunk-aligned.
@@ -48,6 +52,16 @@ class BamWriter {
 /// Serializes a complete BAM file in one call.
 Result<std::string> WriteBam(const SamHeader& header,
                              const std::vector<SamRecord>& records);
+
+/// \brief Builds a complete BAM file from records already in
+/// EncodeBamRecord form (a reducer's output values), byte-identical to
+/// WriteBam on the decoded records. Each value must hold exactly one
+/// well-formed record, else Corruption; it is copied as is, never
+/// re-encoded. Chunks are cut where BamWriter flushes and deflated by
+/// BgzfCompressChunks on `executor` (null: the calling thread).
+Result<std::string> BuildBamPartition(const SamHeader& header,
+                                      const std::vector<std::string>& records,
+                                      Executor* executor);
 
 /// Parses a complete BAM file.
 Result<std::pair<SamHeader, std::vector<SamRecord>>> ReadBam(

@@ -209,6 +209,10 @@ struct RoundSpan {
   std::string name;
   double start_seconds = 0;
   double end_seconds = 0;
+  // Summed wall time of the round's partition-output callbacks (BAM
+  // build and DFS write after each reduce task's record closed): the
+  // part of the span with no task running that the round itself explains.
+  double partition_output_seconds = 0;
 };
 
 /// \brief Execution-engine telemetry of one pipeline run on the shared

@@ -653,19 +653,59 @@ class HaplotypeCallerMapper : public Mapper {
   HaplotypeCallerOptions options_;
 };
 
-// Serializes one reduce partition's record values into a BAM file body
-// (the write side every round shares, barriered or pipelined).
-Status BuildBamPartition(const SamHeader& header,
-                         const std::vector<std::string>& values,
-                         std::string* bam) {
-  BamWriter writer(bam);
-  GESALL_RETURN_NOT_OK(writer.WriteHeader(header));
-  for (const auto& v : values) {
-    size_t offset = 0;
-    GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &offset));
-    GESALL_RETURN_NOT_OK(writer.WriteRecord(rec));
+Executor* ExecutorOf(const PipelineConfig& config) {
+  return config.executor != nullptr ? config.executor : Executor::Shared();
+}
+
+// First failure among a run's partition-output callbacks. They run on
+// executor workers and cannot return a status, so the first error parks
+// here and the round checks it once its job has completed.
+class ParkedError {
+ public:
+  void Record(const Status& s) {
+    if (s.ok()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (first_.ok()) first_ = s;
   }
-  return writer.Finish();
+  Status first() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return first_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  Status first_;  // guarded by mu_
+};
+
+// The one partition-output path of every reduce round, barriered or
+// pipelined, installed as JobConfig::on_partition_output. Partition r's
+// reduce worker builds its BAM (blocks deflated in parallel on
+// `executor`), writes it to `out_dir`, adds the linear index sidecar
+// when `with_index` (round 4: "sorting and building the BAM file index
+// in the reducer", §4.1), then fires `ready[r]` if given. It fires on
+// failure too, so a gated downstream split is never stranded; the
+// failure parks in `errors`.
+std::function<void(int, const std::vector<std::string>&, const JobCounters&)>
+PartitionOutput(Dfs* dfs, Executor* executor, SamHeader header,
+                std::string out_dir, bool with_index,
+                std::shared_ptr<ParkedError> errors,
+                std::vector<std::shared_ptr<ReadySignal>> ready = {}) {
+  return [=](int r, const std::vector<std::string>& values,
+             const JobCounters&) {
+    const std::string path = PartPath(out_dir, r);
+    const Status s = [&]() -> Status {
+      GESALL_ASSIGN_OR_RETURN(std::string bam,
+                              BuildBamPartition(header, values, executor));
+      LogicalPartitionPlacementPolicy policy;
+      GESALL_RETURN_NOT_OK(dfs->Write(path + ".bam", bam, &policy));
+      if (!with_index) return Status::OK();
+      GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
+                              LinearBamIndex::Build(bam));
+      return dfs->Write(path + ".bai", index.Serialize(), &policy);
+    }();
+    errors->Record(s);
+    if (!ready.empty()) ready[static_cast<size_t>(r)]->Notify();
+  };
 }
 
 }  // namespace
@@ -693,8 +733,7 @@ GesallPipeline::GesallPipeline(const ReferenceGenome& reference,
     dfs_->set_fault_injector(config_.fault_injector);
   }
   if (dfs_ != nullptr) {
-    dfs_->set_executor(config_.executor != nullptr ? config_.executor
-                                                   : Executor::Shared());
+    dfs_->set_executor(ExecutorOf(config_));
   }
 }
 
@@ -904,6 +943,10 @@ Status GesallPipeline::RunRound2Cleaning() {
       return std::make_unique<FixMateCombiner>();
     };
   }
+  auto errors = std::make_shared<ParkedError>();
+  job_cfg.on_partition_output =
+      PartitionOutput(dfs_, ExecutorOf(config_), header_, cleaned_dir_,
+                      /*with_index=*/false, errors);
   MapReduceJob job(job_cfg);
   const SamHeader* header = &header_;
   ReadGroup rg = config_.read_group;
@@ -913,14 +956,7 @@ Status GesallPipeline::RunRound2Cleaning() {
           splits,
           [header, rg] { return std::make_unique<CleaningMapper>(header, rg); },
           [] { return std::make_unique<FixMateReducer>(); }));
-
-  std::vector<std::string> outputs;
-  for (auto& values : result.reducer_outputs) {
-    std::string bam;
-    GESALL_RETURN_NOT_OK(BuildBamPartition(header_, values, &bam));
-    outputs.push_back(std::move(bam));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(cleaned_dir_, outputs));
+  GESALL_RETURN_NOT_OK(errors->first());
   stats_.push_back({"round2_cleaning", clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   GESALL_RETURN_NOT_OK(SealRound(kRoundCleaning, "round2_cleaning"));
@@ -986,6 +1022,10 @@ Status GesallPipeline::RunRound3MarkDuplicates() {
       return std::make_unique<MarkDupCombiner>();
     };
   }
+  auto errors = std::make_shared<ParkedError>();
+  job_cfg.on_partition_output =
+      PartitionOutput(dfs_, ExecutorOf(config_), header_, dedup_dir_,
+                      /*with_index=*/false, errors);
   MapReduceJob job(job_cfg);
   const BloomFilter* bloom_ptr = bloom.get();
   GESALL_ASSIGN_OR_RETURN(
@@ -994,14 +1034,7 @@ Status GesallPipeline::RunRound3MarkDuplicates() {
           splits,
           [bloom_ptr] { return std::make_unique<MarkDupMapper>(bloom_ptr); },
           [] { return std::make_unique<MarkDupReducer>(); }));
-
-  std::vector<std::string> outputs;
-  for (auto& values : result.reducer_outputs) {
-    std::string bam;
-    GESALL_RETURN_NOT_OK(BuildBamPartition(header_, values, &bam));
-    outputs.push_back(std::move(bam));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(dedup_dir_, outputs));
+  GESALL_RETURN_NOT_OK(errors->first());
   stats_.push_back({round3_name, clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   GESALL_RETURN_NOT_OK(SealRound(kRoundMarkDuplicates, round3_name));
@@ -1087,33 +1120,22 @@ Status GesallPipeline::RunRound4Sort() {
   }
   boundaries.push_back("\x7f");  // unmapped records partition
   RangePartitioner partitioner(boundaries);
-  MapReduceJob job(MakeJobConfig(C + 1));
+  SamHeader sorted_header = header_;
+  sorted_header.sort_order = "coordinate";
+  JobConfig job_cfg = MakeJobConfig(C + 1);
+  auto errors = std::make_shared<ParkedError>();
+  // The index sidecar lets the overlapping-segment Round 5 read only the
+  // chunk ranges its segment covers.
+  job_cfg.on_partition_output =
+      PartitionOutput(dfs_, ExecutorOf(config_), sorted_header, sorted_dir_,
+                      /*with_index=*/true, errors);
+  MapReduceJob job(job_cfg);
   GESALL_ASSIGN_OR_RETURN(
       JobResult result,
       job.Run(
           splits, [] { return std::make_unique<SortMapper>(); },
           [] { return std::make_unique<IdentityReducer>(); }, &partitioner));
-
-  SamHeader sorted_header = header_;
-  sorted_header.sort_order = "coordinate";
-  std::vector<std::string> outputs;
-  for (auto& values : result.reducer_outputs) {
-    std::string bam;
-    GESALL_RETURN_NOT_OK(BuildBamPartition(sorted_header, values, &bam));
-    outputs.push_back(std::move(bam));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(sorted_dir_, outputs));
-  // "Sorting and building the BAM file index in the reducer" (§4.1):
-  // a linear index sidecar per sorted partition, used by the
-  // overlapping-segment Round 5 to read only the relevant chunk ranges.
-  LogicalPartitionPlacementPolicy policy;
-  for (size_t i = 0; i < outputs.size(); ++i) {
-    GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
-                            LinearBamIndex::Build(outputs[i]));
-    GESALL_RETURN_NOT_OK(
-        dfs_->Write(PartPath(sorted_dir_, static_cast<int>(i)) + ".bai",
-                    index.Serialize(), &policy));
-  }
+  GESALL_RETURN_NOT_OK(errors->first());
   stats_.push_back({"round4_sort", clock.ElapsedSeconds(),
                     std::move(result.counters), std::move(result.tasks)});
   GESALL_RETURN_NOT_OK(SealRound(kRoundSort, "round4_sort"));
@@ -1241,8 +1263,7 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRound5VariantCalling() {
 }
 
 Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
-  Executor* executor =
-      config_.executor != nullptr ? config_.executor : Executor::Shared();
+  Executor* executor = ExecutorOf(config_);
   const ExecutorStats before = executor->stats();
   const size_t first_round = stats_.size();
   // Resume consults manifests at round barriers, so a resumed run always
@@ -1289,6 +1310,17 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
     }
   }
 
+  // What each round spent building and writing partitions after their
+  // reduce tasks closed, from the round's own counters.
+  for (auto& span : execution_.rounds) {
+    for (size_t i = first_round; i < stats_.size(); ++i) {
+      if (stats_[i].name != span.name) continue;
+      span.partition_output_seconds =
+          static_cast<double>(stats_[i].counters.Get(kPartitionOutputMicros)) /
+          1e6;
+    }
+  }
+
   // Round-level DAG: each recorded round depends on the previous one
   // (the order rounds were awaited is the dependency spine), so the
   // critical path is the serialized bound overlap is measured against.
@@ -1321,8 +1353,7 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllBarriered() {
 }
 
 Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
-  Executor* executor =
-      config_.executor != nullptr ? config_.executor : Executor::Shared();
+  Executor* executor = ExecutorOf(config_);
   // One shared admission throttle: max_parallel_tasks is a global task
   // slot budget across the overlapped rounds, matching the barriered
   // engine where only one round holds slots at a time.
@@ -1360,20 +1391,8 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
     ev_sorted.push_back(std::make_shared<ReadySignal>());
   }
 
-  // Partition-output callbacks run on executor workers and cannot
-  // return a status; the first write failure is parked here and
-  // re-checked after every job completes.
-  auto cb_mu = std::make_shared<std::mutex>();
-  auto cb_error = std::make_shared<Status>(Status::OK());
-  auto record_cb = [cb_mu, cb_error](const Status& s) {
-    if (s.ok()) return;
-    std::lock_guard<std::mutex> lock(*cb_mu);
-    if (cb_error->ok()) *cb_error = s;
-  };
-  auto first_cb_error = [cb_mu, cb_error]() -> Status {
-    std::lock_guard<std::mutex> lock(*cb_mu);
-    return *cb_error;
-  };
+  // Partition-output failures of every round, checked after each job.
+  auto errors = std::make_shared<ParkedError>();
 
   std::optional<MapReduceJob::Handle> h2, h3a, h3, h4, h5;
   // Error path: release every gate (so gated splits are admitted and
@@ -1471,24 +1490,9 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
       return std::make_unique<FixMateCombiner>();
     };
   }
-  {
-    SamHeader header_copy = header_;
-    auto evs = ev_cleaned;
-    std::string out_dir = cleaned_dir_;
-    cfg2.on_partition_output = [dfs, header_copy, evs, record_cb, out_dir](
-                                   int r,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      std::string bam;
-      Status s = BuildBamPartition(header_copy, values, &bam);
-      if (s.ok()) {
-        LogicalPartitionPlacementPolicy policy;
-        s = dfs->Write(PartPath(out_dir, r) + ".bam", bam, &policy);
-      }
-      record_cb(s);
-      evs[static_cast<size_t>(r)]->Notify();
-    };
-  }
+  cfg2.on_partition_output =
+      PartitionOutput(dfs, executor, header_, cleaned_dir_,
+                      /*with_index=*/false, errors, ev_cleaned);
   MapReduceJob job2(cfg2);
   const SamHeader* header = &header_;
   ReadGroup rg = config_.read_group;
@@ -1542,7 +1546,7 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
         {round2_name, t2_start, wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
+    Status s = errors->first();
     if (!s.ok()) return fail(s);
   }
   {
@@ -1593,24 +1597,9 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
       return std::make_unique<MarkDupCombiner>();
     };
   }
-  {
-    SamHeader header_copy = header_;
-    auto evs = ev_dedup;
-    std::string out_dir = dedup_dir_;
-    cfg3.on_partition_output = [dfs, header_copy, evs, record_cb, out_dir](
-                                   int r,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      std::string bam;
-      Status s = BuildBamPartition(header_copy, values, &bam);
-      if (s.ok()) {
-        LogicalPartitionPlacementPolicy policy;
-        s = dfs->Write(PartPath(out_dir, r) + ".bam", bam, &policy);
-      }
-      record_cb(s);
-      evs[static_cast<size_t>(r)]->Notify();
-    };
-  }
+  cfg3.on_partition_output =
+      PartitionOutput(dfs, executor, header_, dedup_dir_,
+                      /*with_index=*/false, errors, ev_dedup);
   MapReduceJob job3(cfg3);
   const BloomFilter* bloom_ptr = bloom.get();
   h3 = job3.Start(
@@ -1633,34 +1622,9 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
   JobConfig cfg4 = MakeJobConfig(C + 1);
   cfg4.executor = executor;
   cfg4.throttle = throttle;
-  {
-    auto evs = ev_sorted;
-    std::string out_dir = sorted_dir_;
-    cfg4.on_partition_output = [dfs, sorted_header, evs, record_cb,
-                                out_dir](
-                                   int c,
-                                   const std::vector<std::string>& values,
-                                   const JobCounters&) {
-      std::string bam;
-      Status s = BuildBamPartition(sorted_header, values, &bam);
-      if (s.ok()) {
-        LogicalPartitionPlacementPolicy policy;
-        s = dfs->Write(PartPath(out_dir, c) + ".bam", bam, &policy);
-        if (s.ok()) {
-          // "Sorting and building the BAM file index in the reducer"
-          // (§4.1): the linear index sidecar must be on DFS before the
-          // chromosome's HC split is released.
-          Result<LinearBamIndex> index = LinearBamIndex::Build(bam);
-          s = index.ok()
-                  ? dfs->Write(PartPath(out_dir, c) + ".bai",
-                               index.ValueOrDie().Serialize(), &policy)
-                  : index.status();
-        }
-      }
-      record_cb(s);
-      evs[static_cast<size_t>(c)]->Notify();
-    };
-  }
+  cfg4.on_partition_output =
+      PartitionOutput(dfs, executor, sorted_header, sorted_dir_,
+                      /*with_index=*/true, errors, ev_sorted);
   MapReduceJob job4(cfg4);
   double t4_start = 0;
   auto start_round4 = [&](const std::string& input_dir, bool gated) {
@@ -1783,7 +1747,7 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
                                  wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
+    Status s = errors->first();
     if (!s.ok()) return fail(s);
   }
   {
@@ -1822,7 +1786,7 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
         {"round4_sort", t4_start, wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
+    Status s = errors->first();
     if (!s.ok()) return fail(s);
   }
   {
@@ -1857,7 +1821,7 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
                                  wall.ElapsedSeconds()});
   }
   {
-    Status s = first_cb_error();
+    Status s = errors->first();
     if (!s.ok()) return fail(s);
   }
   GESALL_RETURN_NOT_OK(MaybeTick());

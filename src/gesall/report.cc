@@ -173,8 +173,15 @@ Result<DiagnosisReport> GenerateDiagnosisReport(
     Append(&md, "- critical path (%.3fs): %s\n", ex.critical_path_seconds,
            path.c_str());
     for (const auto& round : ex.rounds) {
-      Append(&md, "- round %s: [%.3fs, %.3fs]\n", round.name.c_str(),
+      Append(&md, "- round %s: [%.3fs, %.3fs]", round.name.c_str(),
              round.start_seconds, round.end_seconds);
+      if (round.partition_output_seconds > 0) {
+        // Summed over partitions, which build and write concurrently.
+        Append(&md, ", partition output %.3fs (BAM build + DFS write after "
+                    "each reduce task)",
+               round.partition_output_seconds);
+      }
+      md += "\n";
     }
     md += "\n";
   }

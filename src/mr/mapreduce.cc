@@ -899,8 +899,12 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
   if (stats.speculative_won) slot.counters.Add("speculative_wins", 1);
   if (slot.status.ok() && cfg.on_partition_output) {
     // Per-partition readiness edge: downstream rounds may start on this
-    // partition now, while sibling reduces are still running.
+    // partition now, while sibling reduces are still running. The task
+    // record has closed, so the callback's time gets a counter of its own.
+    Stopwatch clock;
     cfg.on_partition_output(r, slot.values, slot.counters);
+    slot.counters.Add(kPartitionOutputMicros,
+                      static_cast<int64_t>(clock.ElapsedSeconds() * 1e6));
   }
 }
 

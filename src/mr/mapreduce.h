@@ -190,6 +190,10 @@ struct InputSplit {
 /// \brief Wraps in-memory bytes as a split.
 InputSplit InlineSplit(std::string data);
 
+/// Counter charged with the wall time of JobConfig::on_partition_output,
+/// per reduce: work that runs after the reduce's TaskRecord closed.
+inline constexpr char kPartitionOutputMicros[] = "partition_output_micros";
+
 /// \brief Job-level configuration (Hadoop-parameter analogs).
 struct JobConfig {
   int num_reducers = 4;
@@ -219,7 +223,9 @@ struct JobConfig {
   /// while other partitions may still be running. This is what lets a
   /// downstream round start per-partition work ahead of the job barrier.
   /// Full (map+reduce) jobs only; arguments are the partition index, its
-  /// output values, and that reduce task's counters.
+  /// output values, and that reduce task's counters. The callback runs
+  /// after the task's TaskRecord closed; its wall time is added to that
+  /// reduce's counters as kPartitionOutputMicros.
   std::function<void(int partition, const std::vector<std::string>& values,
                      const JobCounters& counters)>
       on_partition_output;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "util/executor.h"
 #include "util/io.h"
 
 namespace gesall {
@@ -106,6 +107,48 @@ Result<std::string> BgzfCompressBlock(std::string_view data, int level) {
   w.PutU32(static_cast<uint32_t>(data.size()));
   block.append(out_payload);
   return block;
+}
+
+Status BgzfCompressChunks(const std::vector<std::string_view>& chunks,
+                          int level, Executor* executor, std::string* out,
+                          BgzfCodecStats* stats) {
+  GESALL_RETURN_NOT_OK(CheckLevel(level));
+  const size_t n = chunks.size();
+  std::vector<std::string> blocks(n);
+  std::vector<Status> errors(n);
+  std::vector<int64_t> micros(n, 0);
+  auto deflate = [&](size_t i) {
+    if (chunks[i].empty()) return;
+    const int64_t t0 = NowMicros();
+    Result<std::string> block = BgzfCompressBlock(chunks[i], level);
+    micros[i] = NowMicros() - t0;
+    if (block.ok()) {
+      blocks[i] = block.MoveValueUnsafe();
+    } else {
+      errors[i] = block.status();
+    }
+  };
+  if (executor != nullptr && n >= kBgzfMinParallelChunks) {
+    TaskGroup group(executor);
+    for (size_t i = 0; i < n; ++i) {
+      group.Submit([&deflate, i] { deflate(i); });
+    }
+    group.Wait();
+  } else {
+    for (size_t i = 0; i < n; ++i) deflate(i);
+  }
+  for (const Status& error : errors) GESALL_RETURN_NOT_OK(error);
+  for (size_t i = 0; i < n; ++i) {
+    if (chunks[i].empty()) continue;
+    out->append(blocks[i]);
+    if (stats == nullptr) continue;
+    stats->raw_bytes += static_cast<int64_t>(chunks[i].size());
+    stats->stored_bytes += static_cast<int64_t>(blocks[i].size());
+    stats->compress_micros += micros[i];
+    ++stats->blocks;
+    if (blocks[i][3] == kMethodStored) ++stats->stored_blocks;
+  }
+  return Status::OK();
 }
 
 Result<size_t> BgzfPeekBlockSize(std::string_view data) {
@@ -215,15 +258,8 @@ Status BgzfWriter::Append(std::string_view data) {
 
 Status BgzfWriter::Flush() {
   if (pending_.empty()) return Status::OK();
-  const int64_t t0 = NowMicros();
-  GESALL_ASSIGN_OR_RETURN(std::string block,
-                          BgzfCompressBlock(pending_, level_));
-  stats_.compress_micros += NowMicros() - t0;
-  stats_.raw_bytes += static_cast<int64_t>(pending_.size());
-  stats_.stored_bytes += static_cast<int64_t>(block.size());
-  ++stats_.blocks;
-  if (block.size() >= 4 && block[3] == kMethodStored) ++stats_.stored_blocks;
-  out_->append(block);
+  GESALL_RETURN_NOT_OK(
+      BgzfCompressChunks({pending_}, level_, nullptr, out_, &stats_));
   pending_.clear();
   return Status::OK();
 }

@@ -31,6 +31,8 @@
 
 namespace gesall {
 
+class Executor;
+
 /// Maximum uncompressed payload per BGZF block (64 KiB, as in samtools).
 inline constexpr size_t kBgzfBlockSize = 64 * 1024;
 
@@ -62,6 +64,26 @@ struct BgzfCodecStats {
 /// the payload.
 Result<std::string> BgzfCompressBlock(std::string_view data,
                                       int level = kBgzfDefaultLevel);
+
+/// Chunk counts below this deflate on the calling thread, the same
+/// cutoff as the DFS's parallel checksums: an input of a few blocks
+/// gains little from fanning out, so small jobs' partitions stay on the
+/// thread that built them.
+inline constexpr size_t kBgzfMinParallelChunks = 4;
+
+/// \brief Deflates already-cut chunks, one BGZF block per chunk (each
+/// must fit kBgzfBlockSize), and appends the blocks to `*out` in chunk
+/// order. Empty chunks emit nothing, as BgzfWriter::Flush does. Every
+/// block goes through BgzfCompressBlock, so the bytes equal a BgzfWriter
+/// flushed at the same cuts whether the blocks deflated in parallel or
+/// not. With an `executor` and at least kBgzfMinParallelChunks chunks the
+/// blocks deflate as TaskGroup tasks (the helping wait makes this safe
+/// from inside an executor task); otherwise on the calling thread.
+/// `stats`, when non-null, accumulates as BgzfWriter::stats() does, with
+/// compress_micros summed over the blocks (cpu time, not wall time).
+Status BgzfCompressChunks(const std::vector<std::string_view>& chunks,
+                          int level, Executor* executor, std::string* out,
+                          BgzfCodecStats* stats = nullptr);
 
 /// \brief Decompresses exactly one block starting at `data`.
 /// On success sets `*consumed` to the block's total on-disk size.

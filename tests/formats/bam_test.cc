@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/executor.h"
+#include "util/io.h"
 #include "util/rng.h"
 
 namespace gesall {
@@ -143,6 +145,80 @@ TEST(BamFileTest, CorruptMagicRejected) {
   // Corrupt the decompressed magic by re-compressing junk as first block.
   auto junk_block = BgzfCompressBlock("NOTB0000").ValueOrDie();
   EXPECT_FALSE(ReadBamHeader(junk_block).ok());
+}
+
+TEST(BamRecordCodecTest, BodyWithUnparsedBytesRejected) {
+  // A length prefix that claims more body than the record's fields use.
+  Rng rng(9);
+  const std::string encoded = EncodeBamRecord(MakeRecord(rng, 0));
+  const std::string body = encoded.substr(4) + "zz";
+  std::string bad;
+  BufferWriter w(&bad);
+  w.PutU32(static_cast<uint32_t>(body.size()));
+  bad += body;
+  size_t offset = 0;
+  EXPECT_TRUE(DecodeBamRecord(bad, &offset).status().IsCorruption());
+}
+
+// The partition builder must reproduce WriteBam byte for byte, including
+// the cut after a record that ends exactly at the 64 KiB block boundary.
+TEST(BamPartitionTest, MatchesWriteBam) {
+  Rng rng(7);
+  const SamHeader h = TestHeader();
+  std::vector<SamRecord> records;
+  size_t filled = 0;
+  while (filled + 2000 < kBgzfBlockSize) {
+    records.push_back(MakeRecord(rng, static_cast<int>(records.size())));
+    filled += EncodeBamRecord(records.back()).size();
+  }
+  // Size one record so the first record chunk ends exactly at the cut.
+  SamRecord pad = MakeRecord(rng, static_cast<int>(records.size()));
+  pad.seq.clear();
+  pad.qual.clear();
+  size_t gap = kBgzfBlockSize - filled - EncodeBamRecord(pad).size();
+  if (gap % 2 == 1) {
+    pad.qname += "x";
+    --gap;
+  }
+  pad.seq.assign(gap / 2, 'A');
+  pad.qual.assign(gap / 2, 'I');
+  records.push_back(pad);
+  ASSERT_EQ(filled + EncodeBamRecord(pad).size(), kBgzfBlockSize);
+  for (int i = 0; i < 1500; ++i) records.push_back(MakeRecord(rng, 5000 + i));
+
+  std::vector<std::string> values;
+  for (const auto& r : records) values.push_back(EncodeBamRecord(r));
+  const std::string want = WriteBam(h, records).ValueOrDie();
+  const auto blocks = BgzfListBlocks(want).ValueOrDie();
+  ASSERT_GT(blocks.size(), 3u);
+  EXPECT_EQ(BgzfPeekBlock(std::string_view(want).substr(blocks[1].first))
+                .ValueOrDie()
+                .raw_size,
+            kBgzfBlockSize);
+
+  Executor executor(3);
+  for (Executor* ex : {static_cast<Executor*>(nullptr), &executor}) {
+    auto got = BuildBamPartition(h, values, ex);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got.ValueOrDie() == want);
+  }
+  EXPECT_EQ(BuildBamPartition(h, {}, &executor).ValueOrDie(),
+            WriteBam(h, {}).ValueOrDie());
+}
+
+// Reduce values are copied into the BAM as they are, so each must be
+// exactly one whole record: trailing or missing bytes are rejected, never
+// dropped or padded.
+TEST(BamPartitionTest, RejectsValueWithTrailingBytes) {
+  Rng rng(8);
+  const std::string value = EncodeBamRecord(MakeRecord(rng, 0));
+  EXPECT_TRUE(BuildBamPartition(TestHeader(), {value}, nullptr).ok());
+  EXPECT_TRUE(BuildBamPartition(TestHeader(), {value + "xx"}, nullptr)
+                  .status()
+                  .IsCorruption());
+  EXPECT_FALSE(BuildBamPartition(TestHeader(),
+                                 {value.substr(0, value.size() - 3)}, nullptr)
+                   .ok());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/executor.h"
 #include "util/io.h"
 #include "util/rng.h"
 
@@ -279,6 +280,79 @@ TEST(BgzfTest, RandomizedTornAndCorruptBlocksFailCleanly) {
     // The block walk itself must also fail cleanly or terminate.
     (void)BgzfListBlocks(mutated);
   }
+}
+
+std::string Bases(Rng& rng, size_t n) {
+  std::string s(n, '\0');
+  for (auto& c : s) c = "ACGT"[rng.Uniform(4)];
+  return s;
+}
+
+// BgzfCompressChunks' reference: the serial writer flushed after every
+// chunk, which is exactly where the primitive cuts its blocks.
+std::string WriterOutput(const std::vector<std::string_view>& chunks,
+                         int level, BgzfCodecStats* stats) {
+  std::string out;
+  BgzfWriter w(&out, level);
+  for (std::string_view c : chunks) {
+    EXPECT_TRUE(w.Append(c).ok());
+    EXPECT_TRUE(w.Flush().ok());
+  }
+  *stats = w.stats();
+  return out;
+}
+
+TEST(BgzfTest, CompressChunksMatchesSerialWriter) {
+  Rng rng(21);
+  Executor one_worker(1);
+  Executor three_workers(3);
+  for (size_t n : {0, 1, 3, 40}) {
+    std::vector<std::string> owned;
+    for (size_t i = 0; i < n; ++i) {
+      if (i == 1) {
+        owned.push_back(RandomBytes(rng, 5000));  // stored fallback
+      } else if (i % 7 == 0) {
+        owned.push_back(Bases(rng, kBgzfBlockSize));  // a full block
+      } else {
+        owned.push_back(Bases(rng, 1 + rng.Uniform(kBgzfBlockSize)));
+      }
+    }
+    const std::vector<std::string_view> chunks(owned.begin(), owned.end());
+    for (int level : {1, -1}) {
+      BgzfCodecStats want_stats;
+      const std::string want = WriterOutput(chunks, level, &want_stats);
+      if (n > 1) EXPECT_GE(want_stats.stored_blocks, 1);
+      for (Executor* executor : {static_cast<Executor*>(nullptr),
+                                 &one_worker, &three_workers}) {
+        const std::string where =
+            "n=" + std::to_string(n) + " level=" + std::to_string(level) +
+            " workers=" +
+            std::to_string(executor == nullptr ? 0 : executor->num_threads());
+        std::string got = "prefix";
+        BgzfCodecStats stats;
+        ASSERT_TRUE(
+            BgzfCompressChunks(chunks, level, executor, &got, &stats).ok())
+            << where;
+        EXPECT_TRUE(got == "prefix" + want) << where;
+        EXPECT_EQ(stats.blocks, want_stats.blocks) << where;
+        EXPECT_EQ(stats.stored_blocks, want_stats.stored_blocks) << where;
+        EXPECT_EQ(stats.raw_bytes, want_stats.raw_bytes) << where;
+        EXPECT_EQ(stats.stored_bytes, want_stats.stored_bytes) << where;
+      }
+    }
+  }
+}
+
+TEST(BgzfTest, CompressChunksRejectsOversizedChunkAndBadLevel) {
+  Executor executor(2);
+  const std::string small(10, 'a');
+  const std::string big(kBgzfBlockSize + 1, 'a');
+  std::string out;
+  EXPECT_TRUE(BgzfCompressChunks({small, big}, -1, &executor, &out)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(BgzfCompressChunks({small}, 10, nullptr, &out)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -43,11 +43,15 @@
 #     node graph's pump/park state machine — one-shot queue wake-ups
 #     racing the idle transition, abort racing parked callbacks — which
 #     is exactly the machinery TSan exists for (util_test covers the
-#     BoundedQueue underneath it). The PipelineDagTest filter runs whole
-#     pipelines in both engines, where every reduce builds and writes its
-#     partition on its worker with a nested parallel BGZF deflate; the
-#     dfs suite covers concurrent Dfs::Write calls, each fanning its
-#     compress_parts deflate out as a nested TaskGroup.
+#     BoundedQueue underneath it). The PipelineDagTest,
+#     StreamingPipelineTest and PipelineScheduleTest filters run whole
+#     pipelines through the one stage table in every schedule —
+#     barriered, pipelined, streamed, and resumed after a cancel — where
+#     every reduce builds and writes its partition on its worker with a
+#     nested parallel BGZF deflate, and a resumed overlapped run starts
+#     jobs against gates its sealed rounds fired before the jobs
+#     existed; the dfs suite covers concurrent Dfs::Write calls, each
+#     fanning its compress_parts deflate out as a nested TaskGroup.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -100,7 +104,7 @@ if [[ "$run_tsan" == 1 ]]; then
   ./build-tsan/tests/service_test
   ./build-tsan/tests/dfs_test
   ./build-tsan/tests/gesall_test \
-    --gtest_filter='PipelineNodeTest.*:PipelineDagTest.*'
+    --gtest_filter='PipelineNodeTest.*:StreamingPipelineTest.*:PipelineDagTest.*:*PipelineScheduleTest.*'
 fi
 
 echo "=== check.sh: all green ==="

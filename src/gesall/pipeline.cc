@@ -1,6 +1,7 @@
 #include "gesall/pipeline.h"
 
 #include <algorithm>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -657,9 +658,12 @@ Executor* ExecutorOf(const PipelineConfig& config) {
   return config.executor != nullptr ? config.executor : Executor::Shared();
 }
 
-// First failure among a run's partition-output callbacks. They run on
+// Per-partition readiness edges of one stage's reduce outputs.
+using Signals = std::vector<std::shared_ptr<ReadySignal>>;
+
+// First failure among a stage's partition-output callbacks. They run on
 // executor workers and cannot return a status, so the first error parks
-// here and the round checks it once its job has completed.
+// here and RunRounds checks it once the stage's job has completed.
 class ParkedError {
  public:
   void Record(const Status& s) {
@@ -677,19 +681,17 @@ class ParkedError {
   Status first_;  // guarded by mu_
 };
 
-// The one partition-output path of every reduce round, barriered or
-// pipelined, installed as JobConfig::on_partition_output. Partition r's
-// reduce worker builds its BAM (blocks deflated in parallel on
-// `executor`), writes it to `out_dir`, adds the linear index sidecar
-// when `with_index` (round 4: "sorting and building the BAM file index
-// in the reducer", §4.1), then fires `ready[r]` if given. It fires on
-// failure too, so a gated downstream split is never stranded; the
-// failure parks in `errors`.
+// The one partition-output path of every reduce stage, installed as
+// JobConfig::on_partition_output. Partition r's reduce worker builds its
+// BAM (blocks deflated in parallel on `executor`), writes it to
+// `out_dir`, adds the linear index sidecar when `with_index` (round 4:
+// "sorting and building the BAM file index in the reducer", §4.1), then
+// fires `ready[r]`. It fires on failure too, so a gated downstream split
+// is never stranded; the failure parks in `errors`.
 std::function<void(int, const std::vector<std::string>&, const JobCounters&)>
 PartitionOutput(Dfs* dfs, Executor* executor, SamHeader header,
                 std::string out_dir, bool with_index,
-                std::shared_ptr<ParkedError> errors,
-                std::vector<std::shared_ptr<ReadySignal>> ready = {}) {
+                std::shared_ptr<ParkedError> errors, Signals ready) {
   return [=](int r, const std::vector<std::string>& values,
              const JobCounters&) {
     const std::string path = PartPath(out_dir, r);
@@ -704,8 +706,37 @@ PartitionOutput(Dfs* dfs, Executor* executor, SamHeader header,
       return dfs->Write(path + ".bai", index.Serialize(), &policy);
     }();
     errors->Record(s);
-    if (!ready.empty()) ready[static_cast<size_t>(r)]->Notify();
+    ready[static_cast<size_t>(r)]->Notify();
   };
+}
+
+// One whole-file split per upstream partition under `dir`: the listed
+// .bam files on a barrier edge (`gates` null), or part r gated on
+// gates[r] on a signal edge. `locality` pins each split to the node its
+// partition was placed on.
+std::vector<InputSplit> FileSplits(Dfs* dfs, const std::string& dir,
+                                   const Signals* gates, bool locality) {
+  std::vector<std::string> paths;
+  if (gates == nullptr) {
+    paths = ListBams(*dfs, dir);
+  } else {
+    for (size_t r = 0; r < gates->size(); ++r) {
+      paths.push_back(PartPath(dir, static_cast<int>(r)) + ".bam");
+    }
+  }
+  std::vector<InputSplit> splits;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    const std::string path = paths[i];
+    InputSplit s;
+    s.load = [dfs, path]() { return dfs->Read(path); };
+    if (gates != nullptr) s.ready = (*gates)[i];
+    if (locality) {
+      s.preferred_node = LogicalPartitionPlacementPolicy::PrimaryNodeFor(
+          path, dfs->num_data_nodes());
+    }
+    splits.push_back(std::move(s));
+  }
+  return splits;
 }
 
 }  // namespace
@@ -834,15 +865,6 @@ Status GesallPipeline::SealRound(int round_index, const std::string& name) {
   return Status::OK();
 }
 
-bool GesallPipeline::SkipIfSealed(int round_index, const std::string& name) {
-  if (!config_.resume || !RoundComplete(round_index)) return false;
-  JobCounters counters;
-  counters.Add("round_skipped_on_resume", 1);
-  stats_.push_back({name, 0.0, std::move(counters), {}});
-  if (config_.on_round_complete) config_.on_round_complete(round_index, name);
-  return true;
-}
-
 FaultToleranceSummary GesallPipeline::SummarizeFaultTolerance() const {
   JobCounters merged;
   for (const auto& round : stats_) merged.Merge(round.counters);
@@ -882,313 +904,329 @@ Status GesallPipeline::LoadSample(const std::vector<FastqRecord>& mate1,
   return Status::OK();
 }
 
-Status GesallPipeline::RunRound1Alignment() {
-  if (SkipIfSealed(kRoundAlignment, "round1_alignment")) return MaybeTick();
-  Stopwatch clock;
-  std::vector<std::string> inputs = dfs_->List(input_dir_);
-  if (inputs.empty()) return Status::InvalidArgument("no input partitions");
-  std::vector<InputSplit> splits;
-  for (const auto& path : inputs) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    splits.push_back(std::move(s));
-  }
-  MapReduceJob job(MakeJobConfig(0));
-  const GenomeIndex* index = index_;
-  PairedAlignerOptions opt = config_.aligner;
-  bool streaming = config_.use_streaming_alignment;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.RunMapOnly(splits, [index, opt, streaming] {
-        return std::make_unique<AlignmentMapper>(index, opt, streaming);
-      }));
-  LogicalPartitionPlacementPolicy policy;
-  for (size_t i = 0; i < result.reducer_outputs.size(); ++i) {
-    if (result.reducer_outputs[i].empty()) continue;
-    GESALL_RETURN_NOT_OK(
-        dfs_->Write(PartPath(aligned_dir_, static_cast<int>(i)) + ".bam",
-                    result.reducer_outputs[i][0], &policy));
-  }
-  stats_.push_back({"round1_alignment", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundAlignment, "round1_alignment"));
-  // One heartbeat interval per round: crashed nodes are declared dead
-  // and their blocks re-replicated before the next round reads them.
-  return MaybeTick();
-}
+// -----------------------------------------------------------------------
+// The stage table: one entry per MapReduce job. Barriered, pipelined,
+// streamed and resumed runs all schedule these same entries; they differ
+// only in each stage's incoming edge (see RunRounds).
 
-Status GesallPipeline::RunRound2Cleaning() {
-  if (SkipIfSealed(kRoundCleaning, "round2_cleaning")) return MaybeTick();
-  Stopwatch clock;
-  // Map input: DFS block splits of every aligned partition (the custom
-  // RecordReader path of §3.1).
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, aligned_dir_)) {
-    GESALL_ASSIGN_OR_RETURN(auto bam_splits, ComputeBamSplits(*dfs_, path));
-    for (const auto& bs : bam_splits) {
-      InputSplit s;
-      Dfs* dfs = dfs_;
-      s.load = [dfs, path, bs]() {
-        return ReadBamSplitRecords(*dfs, path, bs);
-      };
-      s.preferred_node = bs.preferred_nodes.empty() ? -1
-                                                    : bs.preferred_nodes[0];
-      splits.push_back(std::move(s));
-    }
-  }
-  JobConfig job_cfg = MakeJobConfig(config_.cleaning_reducers);
-  if (config_.use_combiners) {
-    job_cfg.combiner_factory = [] {
-      return std::make_unique<FixMateCombiner>();
-    };
-  }
-  auto errors = std::make_shared<ParkedError>();
-  job_cfg.on_partition_output =
-      PartitionOutput(dfs_, ExecutorOf(config_), header_, cleaned_dir_,
-                      /*with_index=*/false, errors);
-  MapReduceJob job(job_cfg);
-  const SamHeader* header = &header_;
-  ReadGroup rg = config_.read_group;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.Run(
-          splits,
-          [header, rg] { return std::make_unique<CleaningMapper>(header, rg); },
-          [] { return std::make_unique<FixMateReducer>(); }));
-  GESALL_RETURN_NOT_OK(errors->first());
-  stats_.push_back({"round2_cleaning", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundCleaning, "round2_cleaning"));
-  return MaybeTick();
-}
+struct GesallPipeline::Stage {
+  std::string name;  // its stats() entry
+  // The round it belongs to; the round's last stage seals it.
+  PipelineRound round = kRoundAlignment;
+  // Round whose reduce partitions gate this stage split by split in an
+  // overlapped run (a signal edge); 0 = always a barrier edge.
+  int gate_round = 0;
+  // Map splits. `gates` is null on a barrier edge, where the upstream
+  // files are listed on the DFS; on a signal edge split r reads upstream
+  // partition r once (*gates)[r] fires.
+  std::function<Result<std::vector<InputSplit>>(const Signals* gates)> splits;
+  MapperFactory mapper;
+  ReducerFactory reducer;  // null: map-only
+  int reducers = 0;
+  CombinerFactory combiner;
+  std::shared_ptr<const Partitioner> partitioner;
+  // Partition i lands as <output_dir>part-<i>.bam (+ .bai with_index):
+  // built and written on its reduce worker, or, map-only, map task i's
+  // one value written by RunRounds. Empty: the stage writes no parts.
+  std::string output_dir;
+  SamHeader output_header;
+  bool with_index = false;
+  // Finish on the calling thread over the completed job; a null result
+  // means the stage was pre-completed by a resume.
+  std::function<Status(JobResult* result)> finish;
+};
 
-Result<std::string> GesallPipeline::BuildBloomFilter() {
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    splits.push_back(std::move(s));
-  }
-  MapReduceJob job(MakeJobConfig(0));
-  size_t expected = config_.bloom_expected_items;
-  double fpr = config_.bloom_fpr;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result, job.RunMapOnly(splits, [expected, fpr] {
-        return std::make_unique<BloomMapper>(expected, fpr);
-      }));
-  BloomFilter merged(expected, fpr);
-  for (const auto& out : result.reducer_outputs) {
-    for (const auto& v : out) {
-      GESALL_ASSIGN_OR_RETURN(BloomFilter f, BloomFilter::Deserialize(v));
-      GESALL_RETURN_NOT_OK(merged.Union(f));
-    }
-  }
-  stats_.push_back({"round3_bloom_preround", 0.0,
-                    std::move(result.counters), std::move(result.tasks)});
-  return merged.Serialize();
-}
+// What stages hand to later stages and to the caller.
+struct GesallPipeline::StageProducts {
+  std::optional<BloomFilter> bloom;     // read by round 3's mappers
+  RecalibrationTable recal;             // read by PrintReads' mappers
+  std::vector<VariantRecord> variants;  // round 5's sorted calls
+};
 
-Status GesallPipeline::RunRound3MarkDuplicates() {
-  const std::string round3_name = config_.markdup_use_bloom
-                                      ? "round3_markdup_opt"
-                                      : "round3_markdup_reg";
-  if (SkipIfSealed(kRoundMarkDuplicates, round3_name)) return MaybeTick();
-  Stopwatch clock;
-  std::unique_ptr<BloomFilter> bloom;
-  if (config_.markdup_use_bloom) {
-    GESALL_ASSIGN_OR_RETURN(std::string serialized, BuildBloomFilter());
-    GESALL_ASSIGN_OR_RETURN(BloomFilter f,
-                            BloomFilter::Deserialize(serialized));
-    bloom = std::make_unique<BloomFilter>(std::move(f));
-  }
-
-  // Logical partition inputs: whole cleaned files (map benefits from the
-  // read-name grouping of the previous round, Appendix A.2).
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    s.preferred_node =
-        LogicalPartitionPlacementPolicy::PrimaryNodeFor(path,
-                                                        dfs_->num_data_nodes());
-    splits.push_back(std::move(s));
-  }
-  JobConfig job_cfg = MakeJobConfig(config_.markdup_reducers);
-  if (config_.use_combiners) {
-    job_cfg.combiner_factory = [] {
-      return std::make_unique<MarkDupCombiner>();
-    };
-  }
-  auto errors = std::make_shared<ParkedError>();
-  job_cfg.on_partition_output =
-      PartitionOutput(dfs_, ExecutorOf(config_), header_, dedup_dir_,
-                      /*with_index=*/false, errors);
-  MapReduceJob job(job_cfg);
-  const BloomFilter* bloom_ptr = bloom.get();
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.Run(
-          splits,
-          [bloom_ptr] { return std::make_unique<MarkDupMapper>(bloom_ptr); },
-          [] { return std::make_unique<MarkDupReducer>(); }));
-  GESALL_RETURN_NOT_OK(errors->first());
-  stats_.push_back({round3_name, clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundMarkDuplicates, round3_name));
-  return MaybeTick();
-}
-
-Status GesallPipeline::RunRecalibrationRounds() {
-  if (SkipIfSealed(kRoundRecalibration, "round3.5_print_reads")) {
-    return MaybeTick();
-  }
-  Stopwatch clock;
-  auto make_splits = [this] {
-    std::vector<InputSplit> splits;
-    for (const auto& path : ListBams(*dfs_, dedup_dir_)) {
-      InputSplit s;
-      Dfs* dfs = dfs_;
-      s.load = [dfs, path]() { return dfs->Read(path); };
-      splits.push_back(std::move(s));
-    }
-    return splits;
+std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
+    StageProducts* products) const {
+  std::vector<Stage> stages;
+  auto input_parts = [this]() -> Result<std::vector<std::string>> {
+    std::vector<std::string> inputs = dfs_->List(input_dir_);
+    if (inputs.empty()) return Status::InvalidArgument("no input partitions");
+    return inputs;
   };
 
-  // Round 3.5a: per-partition covariate tables, merged by the driver
-  // (GDPT group partitioning by user-defined covariates, §3.2).
-  MapReduceJob build_job(MakeJobConfig(0));
+  // Round 2: AddReplaceReadGroups + CleanSam in the map, shuffle by read
+  // name, FixMateInformation in the reduce. Streaming fuses round 1 into
+  // its map tasks; otherwise round 1 runs as its own map-only stage.
+  Stage clean;
+  clean.round = kRoundCleaning;
+  clean.reducer = [] { return std::make_unique<FixMateReducer>(); };
+  clean.reducers = config_.cleaning_reducers;
+  if (config_.use_combiners) {
+    clean.combiner = [] { return std::make_unique<FixMateCombiner>(); };
+  }
+  clean.output_dir = cleaned_dir_;
+  clean.output_header = header_;
+  if (config_.streaming) {
+    // Each map task pumps its FASTQ partition through the bounded-queue
+    // node graph (align + clean) and emits cleaned records straight into
+    // the qname shuffle, so the aligned stage never exists on the DFS.
+    // Batch slicing matches AlignPairs' own boundaries, so the shuffled
+    // records — and every downstream stage — are byte-identical.
+    clean.name = "round1_2_streamed";
+    clean.splits = [this, input_parts](const Signals*)
+        -> Result<std::vector<InputSplit>> {
+      GESALL_ASSIGN_OR_RETURN(std::vector<std::string> inputs, input_parts());
+      Dfs* dfs = dfs_;
+      const GenomeIndex* index = index_;
+      AlignCleanStreamOptions sopts;
+      sopts.executor = ExecutorOf(config_);
+      sopts.cancel = config_.cancel;
+      sopts.clean = true;
+      sopts.header = &header_;
+      sopts.read_group = config_.read_group;
+      const PairedAlignerOptions opt = config_.aligner;
+      std::vector<InputSplit> splits;
+      for (const auto& path : inputs) {
+        InputSplit s;
+        s.stream = [dfs, path, index, opt, sopts](MapContext* ctx) -> Status {
+          GESALL_ASSIGN_OR_RETURN(std::string text, dfs->Read(path));
+          ctx->IncrementCounter("map_input_bytes",
+                                static_cast<int64_t>(text.size()));
+          std::vector<FastqRecord> reads;
+          {
+            CounterTimer timer(ctx, kTransformMicros);
+            GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(text));
+          }
+          text.clear();
+          text.shrink_to_fit();
+          AlignCleanStreamStats sstats;
+          GESALL_RETURN_NOT_OK(RunAlignCleanStream(
+              *index, opt, std::move(reads), sopts,
+              [ctx](RecordBatch* batch) {
+                CounterTimer timer(ctx, kTransformMicros);
+                for (const auto& r : batch->records) {
+                  ctx->EmitView(r.qname, EncodeBamRecord(r));
+                }
+                return Status::OK();
+              },
+              &sstats));
+          EmitStreamCounters(ctx, sstats);
+          return Status::OK();
+        };
+        splits.push_back(std::move(s));
+      }
+      return splits;
+    };
+    clean.mapper = [] { return std::make_unique<StreamedRoundMapper>(); };
+  } else {
+    // Round 1: map-only alignment, one task per FASTQ partition.
+    Stage align;
+    align.name = "round1_alignment";
+    align.round = kRoundAlignment;
+    align.splits = [this, input_parts](const Signals*)
+        -> Result<std::vector<InputSplit>> {
+      GESALL_ASSIGN_OR_RETURN(std::vector<std::string> inputs, input_parts());
+      std::vector<InputSplit> splits;
+      for (const auto& path : inputs) {
+        InputSplit s;
+        Dfs* dfs = dfs_;
+        s.load = [dfs, path]() { return dfs->Read(path); };
+        splits.push_back(std::move(s));
+      }
+      return splits;
+    };
+    const GenomeIndex* index = index_;
+    const PairedAlignerOptions opt = config_.aligner;
+    const bool streaming = config_.use_streaming_alignment;
+    align.mapper = [index, opt, streaming] {
+      return std::make_unique<AlignmentMapper>(index, opt, streaming);
+    };
+    align.output_dir = aligned_dir_;
+    stages.push_back(std::move(align));
+
+    // Map input: DFS block splits of every aligned partition (the custom
+    // RecordReader path of §3.1).
+    clean.name = "round2_cleaning";
+    clean.splits = [this](const Signals*) -> Result<std::vector<InputSplit>> {
+      std::vector<InputSplit> splits;
+      Dfs* dfs = dfs_;
+      for (const auto& path : ListBams(*dfs, aligned_dir_)) {
+        GESALL_ASSIGN_OR_RETURN(auto bam_splits, ComputeBamSplits(*dfs, path));
+        for (const auto& bs : bam_splits) {
+          InputSplit s;
+          s.load = [dfs, path, bs]() {
+            return ReadBamSplitRecords(*dfs, path, bs);
+          };
+          s.preferred_node =
+              bs.preferred_nodes.empty() ? -1 : bs.preferred_nodes[0];
+          splits.push_back(std::move(s));
+        }
+      }
+      return splits;
+    };
+    const SamHeader* header = &header_;
+    const ReadGroup rg = config_.read_group;
+    clean.mapper = [header, rg] {
+      return std::make_unique<CleaningMapper>(header, rg);
+    };
+  }
+  stages.push_back(std::move(clean));
+
+  // Round 3 bloom pre-round (MarkDup_opt): one filter per cleaned
+  // partition, unioned before round 3 starts.
+  if (config_.markdup_use_bloom) {
+    Stage bloom;
+    bloom.name = "round3_bloom_preround";
+    bloom.round = kRoundMarkDuplicates;
+    bloom.gate_round = kRoundCleaning;
+    bloom.splits = [this](const Signals* gates)
+        -> Result<std::vector<InputSplit>> {
+      return FileSplits(dfs_, cleaned_dir_, gates, /*locality=*/false);
+    };
+    const size_t expected = config_.bloom_expected_items;
+    const double fpr = config_.bloom_fpr;
+    bloom.mapper = [expected, fpr] {
+      return std::make_unique<BloomMapper>(expected, fpr);
+    };
+    bloom.finish = [products, expected, fpr](JobResult* result) -> Status {
+      if (result == nullptr) return Status::OK();
+      BloomFilter merged(expected, fpr);
+      for (const auto& part : result->reducer_outputs) {
+        for (const auto& v : part) {
+          GESALL_ASSIGN_OR_RETURN(BloomFilter f, BloomFilter::Deserialize(v));
+          GESALL_RETURN_NOT_OK(merged.Union(f));
+        }
+      }
+      products->bloom.emplace(std::move(merged));
+      return Status::OK();
+    };
+    stages.push_back(std::move(bloom));
+  }
+
+  // Round 3: compound-key extraction | shuffle | duplicate marking, over
+  // whole cleaned files (the map benefits from the read-name grouping of
+  // the previous round, Appendix A.2).
+  Stage markdup;
+  markdup.name = config_.markdup_use_bloom ? "round3_markdup_opt"
+                                           : "round3_markdup_reg";
+  markdup.round = kRoundMarkDuplicates;
+  markdup.splits = [this](const Signals* gates)
+      -> Result<std::vector<InputSplit>> {
+    return FileSplits(dfs_, cleaned_dir_, gates, /*locality=*/true);
+  };
+  markdup.mapper = [products] {
+    return std::make_unique<MarkDupMapper>(
+        products->bloom.has_value() ? &*products->bloom : nullptr);
+  };
+  markdup.reducer = [] { return std::make_unique<MarkDupReducer>(); };
+  markdup.reducers = config_.markdup_reducers;
+  if (config_.use_combiners) {
+    markdup.combiner = [] { return std::make_unique<MarkDupCombiner>(); };
+  }
+  markdup.output_dir = dedup_dir_;
+  markdup.output_header = header_;
+  stages.push_back(std::move(markdup));
+
+  // Optional recalibration rounds (Table 2 steps 11-12): per-partition
+  // covariate tables merged on the calling thread (GDPT group
+  // partitioning by covariates, §3.2), then PrintReads with the merged
+  // table. The merged table is global, so both edges are barriers.
+  Stage recal_table;
+  recal_table.name = "round3.5_base_recalibrator";
+  recal_table.round = kRoundRecalibration;
+  recal_table.splits = [this](const Signals* gates)
+      -> Result<std::vector<InputSplit>> {
+    return FileSplits(dfs_, dedup_dir_, gates, /*locality=*/false);
+  };
   const ReferenceGenome* reference = reference_;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult build_result,
-      build_job.RunMapOnly(make_splits(), [reference] {
-        return std::make_unique<RecalTableMapper>(reference);
-      }));
-  RecalibrationTable merged;
-  for (const auto& out : build_result.reducer_outputs) {
-    for (const auto& v : out) {
-      GESALL_ASSIGN_OR_RETURN(RecalibrationTable t,
-                              RecalibrationTable::Deserialize(v));
-      merged.Merge(t);
+  recal_table.mapper = [reference] {
+    return std::make_unique<RecalTableMapper>(reference);
+  };
+  recal_table.finish = [products](JobResult* result) -> Status {
+    if (result == nullptr) return Status::OK();
+    for (const auto& part : result->reducer_outputs) {
+      for (const auto& v : part) {
+        GESALL_ASSIGN_OR_RETURN(RecalibrationTable t,
+                                RecalibrationTable::Deserialize(v));
+        products->recal.Merge(t);
+      }
     }
-  }
-  stats_.push_back({"round3.5_base_recalibrator", clock.ElapsedSeconds(),
-                    std::move(build_result.counters),
-                    std::move(build_result.tasks)});
+    return Status::OK();
+  };
+  Stage print_reads;
+  print_reads.name = "round3.5_print_reads";
+  print_reads.round = kRoundRecalibration;
+  print_reads.splits = recal_table.splits;
+  print_reads.mapper = [products] {
+    return std::make_unique<RecalApplyMapper>(&products->recal);
+  };
+  print_reads.output_dir = recal_dir_;
+  stages.push_back(std::move(recal_table));
+  stages.push_back(std::move(print_reads));
 
-  // Round 3.5b: PrintReads with the merged table.
-  Stopwatch apply_clock;
-  MapReduceJob apply_job(MakeJobConfig(0));
-  const RecalibrationTable* table = &merged;
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult apply_result,
-      apply_job.RunMapOnly(make_splits(), [table] {
-        return std::make_unique<RecalApplyMapper>(table);
-      }));
-  std::vector<std::string> outputs;
-  for (auto& out : apply_result.reducer_outputs) {
-    if (!out.empty()) outputs.push_back(std::move(out[0]));
-  }
-  GESALL_RETURN_NOT_OK(WritePartitions(recal_dir_, outputs));
-  stats_.push_back({"round3.5_print_reads", apply_clock.ElapsedSeconds(),
-                    std::move(apply_result.counters),
-                    std::move(apply_result.tasks)});
-  GESALL_RETURN_NOT_OK(
-      SealRound(kRoundRecalibration, "round3.5_print_reads"));
-  return MaybeTick();
-}
-
-Status GesallPipeline::RunRound4Sort() {
-  if (SkipIfSealed(kRoundSort, "round4_sort")) return MaybeTick();
-  Stopwatch clock;
-  // Input: recalibrated partitions when the optional rounds ran.
-  std::string input_dir =
-      ListBams(*dfs_, recal_dir_).empty() ? dedup_dir_ : recal_dir_;
-  std::vector<InputSplit> splits;
-  for (const auto& path : ListBams(*dfs_, input_dir)) {
-    InputSplit s;
-    Dfs* dfs = dfs_;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    splits.push_back(std::move(s));
-  }
+  // Round 4: coordinate sort via range partitioning by chromosome, with
+  // the index sidecar that lets the overlapping-segment round 5 read
+  // only the chunk ranges its segment covers. Without recalibration it
+  // can start per dedup partition.
   const int C = static_cast<int>(reference_->chromosomes.size());
+  Stage sort;
+  sort.name = "round4_sort";
+  sort.round = kRoundSort;
+  sort.gate_round = config_.run_recalibration ? 0 : kRoundMarkDuplicates;
+  sort.splits = [this](const Signals* gates)
+      -> Result<std::vector<InputSplit>> {
+    // Input: recalibrated partitions when the optional rounds ran.
+    const bool recal = gates == nullptr && !ListBams(*dfs_, recal_dir_).empty();
+    return FileSplits(dfs_, recal ? recal_dir_ : dedup_dir_, gates,
+                      /*locality=*/false);
+  };
+  sort.mapper = [] { return std::make_unique<SortMapper>(); };
+  sort.reducer = [] { return std::make_unique<IdentityReducer>(); };
+  sort.reducers = C + 1;
   std::vector<std::string> boundaries;
   for (int c = 1; c < C; ++c) {
     boundaries.push_back(EncodeCoordinateBoundary(c, 0));
   }
   boundaries.push_back("\x7f");  // unmapped records partition
-  RangePartitioner partitioner(boundaries);
-  SamHeader sorted_header = header_;
-  sorted_header.sort_order = "coordinate";
-  JobConfig job_cfg = MakeJobConfig(C + 1);
-  auto errors = std::make_shared<ParkedError>();
-  // The index sidecar lets the overlapping-segment Round 5 read only the
-  // chunk ranges its segment covers.
-  job_cfg.on_partition_output =
-      PartitionOutput(dfs_, ExecutorOf(config_), sorted_header, sorted_dir_,
-                      /*with_index=*/true, errors);
-  MapReduceJob job(job_cfg);
-  GESALL_ASSIGN_OR_RETURN(
-      JobResult result,
-      job.Run(
-          splits, [] { return std::make_unique<SortMapper>(); },
-          [] { return std::make_unique<IdentityReducer>(); }, &partitioner));
-  GESALL_RETURN_NOT_OK(errors->first());
-  stats_.push_back({"round4_sort", clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  GESALL_RETURN_NOT_OK(SealRound(kRoundSort, "round4_sort"));
-  return MaybeTick();
-}
+  sort.partitioner = std::make_shared<RangePartitioner>(boundaries);
+  sort.output_dir = sorted_dir_;
+  sort.output_header = header_;
+  sort.output_header.sort_order = "coordinate";
+  sort.with_index = true;
+  stages.push_back(std::move(sort));
 
-Result<std::vector<VariantRecord>> GesallPipeline::RunRound5VariantCalling() {
-  const std::string round5_name =
+  // Round 5: variant calling per chromosome (or per overlapping segment);
+  // chromosome c's splits can start once round 4 sorted and indexed it.
+  Stage call;
+  call.name =
       config_.variant_caller == PipelineConfig::VariantCaller::kUnifiedGenotyper
           ? "round5_unified_genotyper"
           : "round5_haplotype_caller";
-  if (config_.resume && RoundComplete(kRoundVariants)) {
-    // The sealed round persisted its calls under variants/: reload them
-    // instead of re-running the callers.
-    GESALL_ASSIGN_OR_RETURN(std::string raw,
-                            dfs_->Read(variants_dir_ + "calls.bin"));
-    std::vector<VariantRecord> variants;
-    size_t offset = 0;
-    while (offset < raw.size()) {
-      GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
-                              DecodeVariantBinary(raw, &offset));
-      variants.push_back(std::move(rec));
-    }
-    JobCounters counters;
-    counters.Add("round_skipped_on_resume", 1);
-    stats_.push_back({round5_name, 0.0, std::move(counters), {}});
-    if (config_.on_round_complete) {
-      config_.on_round_complete(kRoundVariants, round5_name);
-    }
-    GESALL_RETURN_NOT_OK(MaybeTick());
-    return variants;
-  }
-  Stopwatch clock;
-  const int C = static_cast<int>(reference_->chromosomes.size());
-  std::vector<InputSplit> splits;
-  for (int c = 0; c < C; ++c) {
-    std::string path = PartPath(sorted_dir_, c) + ".bam";
-    if (!dfs_->Exists(path)) continue;
-    int64_t chrom_len =
-        static_cast<int64_t>(reference_->chromosomes[c].sequence.size());
+  call.round = kRoundVariants;
+  call.gate_round = kRoundSort;
+  call.splits = [this, C](const Signals* gates)
+      -> Result<std::vector<InputSplit>> {
     Dfs* dfs = dfs_;
-    if (config_.hc_partitioning == PipelineConfig::HcPartitioning::kChromosome) {
-      InputSplit s;
-      s.load = [dfs, path, c, chrom_len]() -> Result<std::string> {
-        GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-        return EncodeHcEnvelope(c, 0, chrom_len, 0, chrom_len,
-                                std::move(bam));
-      };
-      splits.push_back(std::move(s));
-    } else {
+    std::vector<InputSplit> splits;
+    for (int c = 0; c < C; ++c) {
+      std::string path = PartPath(sorted_dir_, c) + ".bam";
+      if (gates == nullptr && !dfs->Exists(path)) continue;
+      const std::shared_ptr<ReadySignal> ready =
+          gates != nullptr ? (*gates)[static_cast<size_t>(c)] : nullptr;
+      int64_t chrom_len =
+          static_cast<int64_t>(reference_->chromosomes[c].sequence.size());
+      if (config_.hc_partitioning ==
+          PipelineConfig::HcPartitioning::kChromosome) {
+        InputSplit s;
+        s.load = [dfs, path, c, chrom_len]() -> Result<std::string> {
+          GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
+          return EncodeHcEnvelope(c, 0, chrom_len, 0, chrom_len,
+                                  std::move(bam));
+        };
+        s.ready = ready;
+        splits.push_back(std::move(s));
+        continue;
+      }
       const int S = std::max(1, config_.hc_segments_per_chromosome);
-      const int64_t overlap =
-          config_.hc.max_window + config_.hc.window_pad;
+      const int64_t overlap = config_.hc.max_window + config_.hc.window_pad;
       for (int seg = 0; seg < S; ++seg) {
         int64_t emit_start = chrom_len * seg / S;
         int64_t emit_end = chrom_len * (seg + 1) / S;
@@ -1217,64 +1255,253 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRound5VariantCalling() {
           return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
                                   std::move(bam));
         };
+        s.ready = ready;
         splits.push_back(std::move(s));
       }
     }
-  }
-  MapReduceJob job(MakeJobConfig(0));
-  const ReferenceGenome* reference = reference_;
-  MapperFactory factory;
-  if (config_.variant_caller == PipelineConfig::VariantCaller::
-                                    kUnifiedGenotyper) {
+    return splits;
+  };
+  if (config_.variant_caller ==
+      PipelineConfig::VariantCaller::kUnifiedGenotyper) {
     GenotyperOptions ug = config_.ug;
-    factory = [reference, ug] {
+    call.mapper = [reference, ug] {
       return std::make_unique<UnifiedGenotyperMapper>(reference, ug);
     };
   } else {
     HaplotypeCallerOptions hc = config_.hc;
-    factory = [reference, hc] {
+    call.mapper = [reference, hc] {
       return std::make_unique<HaplotypeCallerMapper>(reference, hc);
     };
   }
-  GESALL_ASSIGN_OR_RETURN(JobResult result,
-                          job.RunMapOnly(splits, factory));
-  std::vector<VariantRecord> variants;
-  for (const auto& out : result.reducer_outputs) {
-    for (const auto& v : out) {
+  call.finish = [this, products](JobResult* result) -> Status {
+    std::vector<VariantRecord>& variants = products->variants;
+    if (result == nullptr) {
+      // The sealed round persisted its calls under variants/: reload
+      // them instead of re-running the callers.
+      GESALL_ASSIGN_OR_RETURN(std::string raw,
+                              dfs_->Read(variants_dir_ + "calls.bin"));
       size_t offset = 0;
-      GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
-                              DecodeVariantBinary(v, &offset));
-      variants.push_back(std::move(rec));
+      while (offset < raw.size()) {
+        GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
+                                DecodeVariantBinary(raw, &offset));
+        variants.push_back(std::move(rec));
+      }
+      return Status::OK();
     }
-  }
-  std::sort(variants.begin(), variants.end(), VariantLess);
-  stats_.push_back({round5_name, clock.ElapsedSeconds(),
-                    std::move(result.counters), std::move(result.tasks)});
-  if (config_.write_manifests) {
+    for (const auto& part : result->reducer_outputs) {
+      for (const auto& v : part) {
+        size_t offset = 0;
+        GESALL_ASSIGN_OR_RETURN(VariantRecord rec,
+                                DecodeVariantBinary(v, &offset));
+        variants.push_back(std::move(rec));
+      }
+    }
+    std::sort(variants.begin(), variants.end(), VariantLess);
+    if (!config_.write_manifests) return Status::OK();
     // Variants are otherwise in-memory only; persist them so a resumed
     // job whose final round already finished returns identical calls.
     std::string blob;
     for (const auto& v : variants) blob += EncodeVariantBinary(v);
-    GESALL_RETURN_NOT_OK(dfs_->Write(variants_dir_ + "calls.bin", blob));
+    return dfs_->Write(variants_dir_ + "calls.bin", blob);
+  };
+  stages.push_back(std::move(call));
+  return stages;
+}
+
+// The scheduling loop. Each stage's incoming edge is one of two kinds:
+//   barrier: every launched stage lands first, then the stage lists its
+//            upstream files on the DFS;
+//   signal:  the stage starts at once, split r gated on the upstream
+//            round's ReadySignal r (overlapped runs, where the stage
+//            names a gate_round that this walk launched).
+// Stages land in table order: await the job, write map-only parts, run
+// the finish, record stats, and after a round's last stage seal the
+// round and tick the heartbeat. On resume a sealed round's stages are
+// pre-completed instead of started: their signals fire at once and they
+// land as skipped.
+Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(
+    const std::vector<int>& rounds, bool overlap,
+    std::vector<RoundSpan>* spans) {
+  StageProducts products;
+  const std::vector<Stage> stages = BuildStages(&products);
+  Executor* executor = ExecutorOf(config_);
+  // Overlapped stages share one admission throttle: max_parallel_tasks
+  // is a global slot budget, as it is when one barriered job holds the
+  // slots at a time.
+  std::shared_ptr<Throttle> throttle;
+  if (overlap) {
+    throttle = std::make_shared<Throttle>(
+        executor, std::max(1, config_.max_parallel_tasks));
   }
-  GESALL_RETURN_NOT_OK(SealRound(kRoundVariants, round5_name));
-  GESALL_RETURN_NOT_OK(MaybeTick());
-  return variants;
+  Stopwatch wall;
+
+  struct Launched {
+    const Stage* stage = nullptr;
+    bool seals = false;
+    std::optional<MapReduceJob::Handle> job;  // empty: pre-completed
+    std::shared_ptr<ParkedError> errors;
+    double start = 0;
+  };
+  std::deque<Launched> launched;
+  std::map<int, Signals> ready;  // round -> its reduce stage's partitions
+
+  auto land_front = [&]() -> Status {
+    Launched l = std::move(launched.front());
+    launched.pop_front();
+    const Stage& stage = *l.stage;
+    const bool ran = l.job.has_value();
+    JobResult result;
+    if (ran) {
+      GESALL_ASSIGN_OR_RETURN(result, l.job->Wait());
+      GESALL_RETURN_NOT_OK(l.errors->first());
+      if (stage.reducer == nullptr && !stage.output_dir.empty()) {
+        LogicalPartitionPlacementPolicy policy;
+        for (size_t i = 0; i < result.reducer_outputs.size(); ++i) {
+          if (result.reducer_outputs[i].empty()) continue;
+          GESALL_RETURN_NOT_OK(dfs_->Write(
+              PartPath(stage.output_dir, static_cast<int>(i)) + ".bam",
+              result.reducer_outputs[i][0], &policy));
+        }
+      }
+    } else {
+      result.counters.Add("round_skipped_on_resume", 1);
+    }
+    if (stage.finish) {
+      GESALL_RETURN_NOT_OK(stage.finish(ran ? &result : nullptr));
+    }
+    if (!ran && !l.seals) return Status::OK();
+    const double end = wall.ElapsedSeconds();
+    const double start = ran ? l.start : end;
+    stats_.push_back({stage.name, end - start, std::move(result.counters),
+                      std::move(result.tasks)});
+    if (spans != nullptr) spans->push_back({stage.name, start, end});
+    if (!l.seals) return Status::OK();
+    if (ran) {
+      GESALL_RETURN_NOT_OK(SealRound(stage.round, stage.name));
+    } else if (config_.on_round_complete) {
+      config_.on_round_complete(stage.round, stage.name);
+    }
+    // One heartbeat interval per round: crashed nodes are declared dead
+    // and their blocks re-replicated before the next round reads them.
+    return MaybeTick();
+  };
+  auto land_all = [&]() -> Status {
+    while (!launched.empty()) GESALL_RETURN_NOT_OK(land_front());
+    return Status::OK();
+  };
+
+  Status status = [&]() -> Status {
+    int round = 0;
+    bool pre_completed = false;
+    for (size_t i = 0; i < stages.size(); ++i) {
+      const Stage& stage = stages[i];
+      if (std::find(rounds.begin(), rounds.end(), stage.round) ==
+          rounds.end()) {
+        continue;
+      }
+      if (stage.round != round) {
+        round = stage.round;
+        pre_completed = config_.resume && RoundComplete(round);
+      }
+      Launched l;
+      l.stage = &stage;
+      l.seals = i + 1 == stages.size() || stages[i + 1].round != round;
+      Signals* out = nullptr;
+      if (stage.reducer != nullptr) {
+        out = &ready[round];
+        for (int r = 0; r < stage.reducers; ++r) {
+          out->push_back(std::make_shared<ReadySignal>());
+        }
+      }
+      if (pre_completed) {
+        if (out != nullptr) {
+          for (const auto& s : *out) s->Notify();
+        }
+        launched.push_back(std::move(l));
+        continue;
+      }
+      const auto gate = ready.find(stage.gate_round);
+      const Signals* gates =
+          overlap && gate != ready.end() ? &gate->second : nullptr;
+      if (gates == nullptr) GESALL_RETURN_NOT_OK(land_all());
+      GESALL_ASSIGN_OR_RETURN(std::vector<InputSplit> splits,
+                              stage.splits(gates));
+      JobConfig cfg = MakeJobConfig(stage.reducers);
+      cfg.throttle = throttle;
+      cfg.combiner_factory = stage.combiner;
+      l.errors = std::make_shared<ParkedError>();
+      if (out != nullptr) {
+        cfg.on_partition_output =
+            PartitionOutput(dfs_, executor, stage.output_header,
+                            stage.output_dir, stage.with_index, l.errors,
+                            *out);
+      }
+      MapReduceJob job(cfg);
+      l.start = wall.ElapsedSeconds();
+      l.job = stage.reducer != nullptr
+                  ? job.Start(splits, stage.mapper, stage.reducer,
+                              stage.partitioner.get())
+                  : job.StartMapOnly(splits, stage.mapper);
+      launched.push_back(std::move(l));
+    }
+    return land_all();
+  }();
+  if (!status.ok()) {
+    // Release every gate, so gated splits are admitted and their jobs
+    // can finish failing, then drain every started job: running tasks
+    // capture this frame's stages and products.
+    for (auto& [r, signals] : ready) {
+      for (const auto& s : signals) s->Notify();
+    }
+    for (auto& l : launched) {
+      if (l.job.has_value()) (void)l.job->Wait();
+    }
+    return status;
+  }
+  return std::move(products.variants);
+}
+
+Status GesallPipeline::RunRound1Alignment() {
+  return RunRounds({kRoundAlignment}, /*overlap=*/false, nullptr).status();
+}
+
+Status GesallPipeline::RunRound2Cleaning() {
+  return RunRounds({kRoundCleaning}, /*overlap=*/false, nullptr).status();
+}
+
+Status GesallPipeline::RunRound3MarkDuplicates() {
+  return RunRounds({kRoundMarkDuplicates}, /*overlap=*/false, nullptr)
+      .status();
+}
+
+Status GesallPipeline::RunRecalibrationRounds() {
+  return RunRounds({kRoundRecalibration}, /*overlap=*/false, nullptr)
+      .status();
+}
+
+Status GesallPipeline::RunRound4Sort() {
+  return RunRounds({kRoundSort}, /*overlap=*/false, nullptr).status();
+}
+
+Result<std::vector<VariantRecord>> GesallPipeline::RunRound5VariantCalling() {
+  return RunRounds({kRoundVariants}, /*overlap=*/false, nullptr);
 }
 
 Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   Executor* executor = ExecutorOf(config_);
   const ExecutorStats before = executor->stats();
   const size_t first_round = stats_.size();
-  // Resume consults manifests at round barriers, so a resumed run always
-  // executes barriered even when the config asks for overlap.
-  const bool pipelined_run = config_.pipelined && !config_.resume;
   execution_ = ExecutionSummary{};
-  execution_.pipelined = pipelined_run;
-  execution_.streaming = pipelined_run && config_.streaming;
+  execution_.pipelined = config_.pipelined;
+  execution_.streaming = config_.streaming;
+  std::vector<int> rounds = {kRoundAlignment, kRoundCleaning,
+                             kRoundMarkDuplicates};
+  if (config_.run_recalibration) rounds.push_back(kRoundRecalibration);
+  rounds.push_back(kRoundSort);
+  rounds.push_back(kRoundVariants);
   Stopwatch wall;
   Result<std::vector<VariantRecord>> result =
-      pipelined_run ? RunAllPipelined() : RunAllBarriered();
+      RunRounds(rounds, config_.pipelined, &execution_.rounds);
   execution_.wall_seconds = wall.ElapsedSeconds();
   if (!result.ok() && result.status().IsCancelled() &&
       !config_.preserve_outputs_on_cancel) {
@@ -1298,17 +1525,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   // vs barriered comparisons need separate processes or the resettable
   // allocator hooks in util/mem.h).
   execution_.peak_rss_bytes = PeakRssBytes();
-
-  // Barriered rounds execute back to back: derive their spans from the
-  // recorded round walls. The pipelined path records real spans itself.
-  if (!pipelined_run) {
-    double at = 0;
-    for (size_t i = first_round; i < stats_.size(); ++i) {
-      execution_.rounds.push_back(
-          {stats_[i].name, at, at + stats_[i].wall_seconds});
-      at += stats_[i].wall_seconds;
-    }
-  }
 
   // What each round spent building and writing partitions after their
   // reduce tasks closed, from the round's own counters.
@@ -1339,504 +1555,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
   execution_.overlap_seconds_saved = std::max(
       0.0, execution_.serialized_round_seconds - execution_.wall_seconds);
   return result;
-}
-
-Result<std::vector<VariantRecord>> GesallPipeline::RunAllBarriered() {
-  GESALL_RETURN_NOT_OK(RunRound1Alignment());
-  GESALL_RETURN_NOT_OK(RunRound2Cleaning());
-  GESALL_RETURN_NOT_OK(RunRound3MarkDuplicates());
-  if (config_.run_recalibration) {
-    GESALL_RETURN_NOT_OK(RunRecalibrationRounds());
-  }
-  GESALL_RETURN_NOT_OK(RunRound4Sort());
-  return RunRound5VariantCalling();
-}
-
-Result<std::vector<VariantRecord>> GesallPipeline::RunAllPipelined() {
-  Executor* executor = ExecutorOf(config_);
-  // One shared admission throttle: max_parallel_tasks is a global task
-  // slot budget across the overlapped rounds, matching the barriered
-  // engine where only one round holds slots at a time.
-  auto throttle = std::make_shared<Throttle>(
-      executor, std::max(1, config_.max_parallel_tasks));
-  Stopwatch wall;
-
-  // ---- Round 1. Streaming fuses it into the round-2 job below (the
-  // aligned stage never exists on the DFS); otherwise it runs barriered
-  // first, since round 2's split computation needs the aligned files.
-  const bool streaming = config_.streaming;
-  if (!streaming) {
-    GESALL_RETURN_NOT_OK(RunRound1Alignment());
-    execution_.rounds.push_back(
-        {"round1_alignment", 0.0, wall.ElapsedSeconds()});
-  }
-
-  const int R2 = std::max(1, config_.cleaning_reducers);
-  const int R3 = std::max(1, config_.markdup_reducers);
-  const int C = static_cast<int>(reference_->chromosomes.size());
-  Dfs* dfs = dfs_;
-
-  // Per-partition readiness edges between rounds. A downstream gated
-  // split is admitted the moment its upstream partition file is on DFS.
-  std::vector<std::shared_ptr<ReadySignal>> ev_cleaned;
-  std::vector<std::shared_ptr<ReadySignal>> ev_dedup;
-  std::vector<std::shared_ptr<ReadySignal>> ev_sorted;
-  for (int r = 0; r < R2; ++r) {
-    ev_cleaned.push_back(std::make_shared<ReadySignal>());
-  }
-  for (int r = 0; r < R3; ++r) {
-    ev_dedup.push_back(std::make_shared<ReadySignal>());
-  }
-  for (int c = 0; c < C + 1; ++c) {
-    ev_sorted.push_back(std::make_shared<ReadySignal>());
-  }
-
-  // Partition-output failures of every round, checked after each job.
-  auto errors = std::make_shared<ParkedError>();
-
-  std::optional<MapReduceJob::Handle> h2, h3a, h3, h4, h5;
-  // Error path: release every gate (so gated splits are admitted and
-  // their jobs can finish failing) and drain every outstanding handle —
-  // running tasks capture locals of this frame, so returning before
-  // they complete would be a use-after-free.
-  auto fail = [&](Status error) -> Status {
-    for (auto& e : ev_cleaned) e->Notify();
-    for (auto& e : ev_dedup) e->Notify();
-    for (auto& e : ev_sorted) e->Notify();
-    for (auto* h : {&h2, &h3a, &h3, &h4, &h5}) {
-      if (h->has_value()) {
-        (void)(*h)->Wait();
-        h->reset();
-      }
-    }
-    return error;
-  };
-
-  // ---- Round 2 cleaning: reduce partitions stream to DFS as they
-  // finish, each releasing the bloom pre-round's matching map split.
-  double t2_start = wall.ElapsedSeconds();
-  std::vector<InputSplit> splits2;
-  if (streaming) {
-    // Fused rounds 1+2: each map task pumps its FASTQ partition through
-    // the bounded-queue node graph (align + clean) and emits cleaned
-    // records straight into the qname shuffle. Batch slicing matches
-    // AlignPairs' own boundaries, so the shuffled records — and every
-    // downstream stage — are byte-identical to the barriered path's.
-    std::vector<std::string> inputs = dfs_->List(input_dir_);
-    if (inputs.empty()) {
-      return Status::InvalidArgument("no input partitions");
-    }
-    const GenomeIndex* index = index_;
-    PairedAlignerOptions opt = config_.aligner;
-    const SamHeader* hdr = &header_;
-    ReadGroup stream_rg = config_.read_group;
-    std::shared_ptr<CancelToken> cancel = config_.cancel;
-    for (const auto& path : inputs) {
-      InputSplit s;
-      s.stream = [dfs, path, index, opt, hdr, stream_rg, cancel,
-                  executor](MapContext* ctx) -> Status {
-        GESALL_ASSIGN_OR_RETURN(std::string text, dfs->Read(path));
-        ctx->IncrementCounter("map_input_bytes",
-                              static_cast<int64_t>(text.size()));
-        std::vector<FastqRecord> reads;
-        {
-          CounterTimer timer(ctx, kTransformMicros);
-          GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(text));
-        }
-        text.clear();
-        text.shrink_to_fit();
-        AlignCleanStreamOptions sopts;
-        sopts.executor = executor;
-        sopts.cancel = cancel;
-        sopts.clean = true;
-        sopts.header = hdr;
-        sopts.read_group = stream_rg;
-        AlignCleanStreamStats sstats;
-        GESALL_RETURN_NOT_OK(RunAlignCleanStream(
-            *index, opt, std::move(reads), sopts,
-            [ctx](RecordBatch* batch) {
-              CounterTimer timer(ctx, kTransformMicros);
-              for (const auto& r : batch->records) {
-                ctx->EmitView(r.qname, EncodeBamRecord(r));
-              }
-              return Status::OK();
-            },
-            &sstats));
-        EmitStreamCounters(ctx, sstats);
-        return Status::OK();
-      };
-      splits2.push_back(std::move(s));
-    }
-  } else {
-    for (const auto& path : ListBams(*dfs_, aligned_dir_)) {
-      GESALL_ASSIGN_OR_RETURN(auto bam_splits, ComputeBamSplits(*dfs_, path));
-      for (const auto& bs : bam_splits) {
-        InputSplit s;
-        s.load = [dfs, path, bs]() {
-          return ReadBamSplitRecords(*dfs, path, bs);
-        };
-        s.preferred_node = bs.preferred_nodes.empty()
-                               ? -1
-                               : bs.preferred_nodes[0];
-        splits2.push_back(std::move(s));
-      }
-    }
-  }
-  JobConfig cfg2 = MakeJobConfig(R2);
-  cfg2.executor = executor;
-  cfg2.throttle = throttle;
-  if (config_.use_combiners) {
-    cfg2.combiner_factory = [] {
-      return std::make_unique<FixMateCombiner>();
-    };
-  }
-  cfg2.on_partition_output =
-      PartitionOutput(dfs, executor, header_, cleaned_dir_,
-                      /*with_index=*/false, errors, ev_cleaned);
-  MapReduceJob job2(cfg2);
-  const SamHeader* header = &header_;
-  ReadGroup rg = config_.read_group;
-  MapperFactory map2;
-  if (streaming) {
-    map2 = []() -> std::unique_ptr<Mapper> {
-      return std::make_unique<StreamedRoundMapper>();
-    };
-  } else {
-    map2 = [header, rg]() -> std::unique_ptr<Mapper> {
-      return std::make_unique<CleaningMapper>(header, rg);
-    };
-  }
-  h2 = job2.Start(splits2, map2,
-                  [] { return std::make_unique<FixMateReducer>(); });
-
-  // ---- Round 3 bloom pre-round, overlapped with round 2: each map
-  // split is gated on its cleaned partition.
-  double t3a_start = wall.ElapsedSeconds();
-  JobConfig cfg3a = MakeJobConfig(0);
-  cfg3a.executor = executor;
-  cfg3a.throttle = throttle;
-  MapReduceJob job3a(cfg3a);
-  if (config_.markdup_use_bloom) {
-    std::vector<InputSplit> splits3a;
-    for (int r = 0; r < R2; ++r) {
-      std::string path = PartPath(cleaned_dir_, r) + ".bam";
-      InputSplit s;
-      s.load = [dfs, path]() { return dfs->Read(path); };
-      s.ready = ev_cleaned[static_cast<size_t>(r)];
-      splits3a.push_back(std::move(s));
-    }
-    size_t expected = config_.bloom_expected_items;
-    double fpr = config_.bloom_fpr;
-    h3a = job3a.StartMapOnly(splits3a, [expected, fpr] {
-      return std::make_unique<BloomMapper>(expected, fpr);
-    });
-  }
-
-  // ---- Await round 2.
-  {
-    Result<JobResult> out = h2->Wait();
-    h2.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    const std::string round2_name =
-        streaming ? "round1_2_streamed" : "round2_cleaning";
-    stats_.push_back({round2_name, wall.ElapsedSeconds() - t2_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back(
-        {round2_name, t2_start, wall.ElapsedSeconds()});
-  }
-  {
-    Status s = errors->first();
-    if (!s.ok()) return fail(s);
-  }
-  {
-    Status s = MaybeTick();
-    if (!s.ok()) return fail(s);
-  }
-
-  // ---- Await the bloom pre-round and merge the per-mapper filters.
-  std::unique_ptr<BloomFilter> bloom;
-  if (h3a.has_value()) {
-    Result<JobResult> out = h3a->Wait();
-    h3a.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    BloomFilter merged(config_.bloom_expected_items, config_.bloom_fpr);
-    for (const auto& part : result.reducer_outputs) {
-      for (const auto& v : part) {
-        Result<BloomFilter> f = BloomFilter::Deserialize(v);
-        if (!f.ok()) return fail(f.status());
-        Status s = merged.Union(f.ValueOrDie());
-        if (!s.ok()) return fail(s);
-      }
-    }
-    bloom = std::make_unique<BloomFilter>(std::move(merged));
-    stats_.push_back({"round3_bloom_preround",
-                      wall.ElapsedSeconds() - t3a_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back(
-        {"round3_bloom_preround", t3a_start, wall.ElapsedSeconds()});
-  }
-
-  // ---- Round 3 MarkDuplicates: reduce partitions release round 4's
-  // matching sort split as they land on DFS.
-  double t3_start = wall.ElapsedSeconds();
-  std::vector<InputSplit> splits3;
-  for (const auto& path : ListBams(*dfs_, cleaned_dir_)) {
-    InputSplit s;
-    s.load = [dfs, path]() { return dfs->Read(path); };
-    s.preferred_node = LogicalPartitionPlacementPolicy::PrimaryNodeFor(
-        path, dfs_->num_data_nodes());
-    splits3.push_back(std::move(s));
-  }
-  JobConfig cfg3 = MakeJobConfig(R3);
-  cfg3.executor = executor;
-  cfg3.throttle = throttle;
-  if (config_.use_combiners) {
-    cfg3.combiner_factory = [] {
-      return std::make_unique<MarkDupCombiner>();
-    };
-  }
-  cfg3.on_partition_output =
-      PartitionOutput(dfs, executor, header_, dedup_dir_,
-                      /*with_index=*/false, errors, ev_dedup);
-  MapReduceJob job3(cfg3);
-  const BloomFilter* bloom_ptr = bloom.get();
-  h3 = job3.Start(
-      splits3,
-      [bloom_ptr] { return std::make_unique<MarkDupMapper>(bloom_ptr); },
-      [] { return std::make_unique<MarkDupReducer>(); });
-
-  // ---- Round 4 sort. Without recalibration it overlaps round 3: each
-  // map split is gated on its dedup partition. The recalibration rounds
-  // are driver-merged (the covariate table is global), so with them
-  // enabled rounds 3.5 run barriered and round 4 starts ungated after.
-  SamHeader sorted_header = header_;
-  sorted_header.sort_order = "coordinate";
-  std::vector<std::string> boundaries;
-  for (int c = 1; c < C; ++c) {
-    boundaries.push_back(EncodeCoordinateBoundary(c, 0));
-  }
-  boundaries.push_back("\x7f");  // unmapped records partition
-  RangePartitioner partitioner(boundaries);
-  JobConfig cfg4 = MakeJobConfig(C + 1);
-  cfg4.executor = executor;
-  cfg4.throttle = throttle;
-  cfg4.on_partition_output =
-      PartitionOutput(dfs, executor, sorted_header, sorted_dir_,
-                      /*with_index=*/true, errors, ev_sorted);
-  MapReduceJob job4(cfg4);
-  double t4_start = 0;
-  auto start_round4 = [&](const std::string& input_dir, bool gated) {
-    t4_start = wall.ElapsedSeconds();
-    std::vector<InputSplit> splits4;
-    if (gated) {
-      for (int r = 0; r < R3; ++r) {
-        std::string path = PartPath(input_dir, r) + ".bam";
-        InputSplit s;
-        s.load = [dfs, path]() { return dfs->Read(path); };
-        s.ready = ev_dedup[static_cast<size_t>(r)];
-        splits4.push_back(std::move(s));
-      }
-    } else {
-      for (const auto& path : ListBams(*dfs_, input_dir)) {
-        InputSplit s;
-        s.load = [dfs, path]() { return dfs->Read(path); };
-        splits4.push_back(std::move(s));
-      }
-    }
-    h4 = job4.Start(
-        splits4, [] { return std::make_unique<SortMapper>(); },
-        [] { return std::make_unique<IdentityReducer>(); }, &partitioner);
-  };
-
-  // ---- Round 5 variant calling, overlapped with round 4: the HC split
-  // (or all segment splits) of chromosome c waits only for round 4 to
-  // sort and index that chromosome's partition.
-  double t5_start = 0;
-  JobConfig cfg5 = MakeJobConfig(0);
-  cfg5.executor = executor;
-  cfg5.throttle = throttle;
-  MapReduceJob job5(cfg5);
-  auto start_round5 = [&] {
-    t5_start = wall.ElapsedSeconds();
-    std::vector<InputSplit> splits5;
-    for (int c = 0; c < C; ++c) {
-      std::string path = PartPath(sorted_dir_, c) + ".bam";
-      int64_t chrom_len =
-          static_cast<int64_t>(reference_->chromosomes[c].sequence.size());
-      if (config_.hc_partitioning ==
-          PipelineConfig::HcPartitioning::kChromosome) {
-        InputSplit s;
-        s.load = [dfs, path, c, chrom_len]() -> Result<std::string> {
-          GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-          return EncodeHcEnvelope(c, 0, chrom_len, 0, chrom_len,
-                                  std::move(bam));
-        };
-        s.ready = ev_sorted[static_cast<size_t>(c)];
-        splits5.push_back(std::move(s));
-      } else {
-        const int S = std::max(1, config_.hc_segments_per_chromosome);
-        const int64_t overlap =
-            config_.hc.max_window + config_.hc.window_pad;
-        for (int seg = 0; seg < S; ++seg) {
-          int64_t emit_start = chrom_len * seg / S;
-          int64_t emit_end = chrom_len * (seg + 1) / S;
-          int64_t start = std::max<int64_t>(0, emit_start - overlap);
-          int64_t end = std::min(chrom_len, emit_end + overlap);
-          InputSplit s;
-          std::string index_path = PartPath(sorted_dir_, c) + ".bai";
-          SamHeader split_header = header_;
-          s.load = [dfs, path, index_path, split_header, c, start, end,
-                    emit_start, emit_end]() -> Result<std::string> {
-            GESALL_ASSIGN_OR_RETURN(std::string bam, dfs->Read(path));
-            if (dfs->Exists(index_path)) {
-              GESALL_ASSIGN_OR_RETURN(std::string raw,
-                                      dfs->Read(index_path));
-              GESALL_ASSIGN_OR_RETURN(LinearBamIndex index,
-                                      LinearBamIndex::Deserialize(raw));
-              GESALL_ASSIGN_OR_RETURN(
-                  std::vector<SamRecord> region,
-                  ReadBamRegion(bam, index, start, end));
-              GESALL_ASSIGN_OR_RETURN(std::string subset,
-                                      WriteBam(split_header, region));
-              return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
-                                      std::move(subset));
-            }
-            return EncodeHcEnvelope(c, start, end, emit_start, emit_end,
-                                    std::move(bam));
-          };
-          s.ready = ev_sorted[static_cast<size_t>(c)];
-          splits5.push_back(std::move(s));
-        }
-      }
-    }
-    const ReferenceGenome* reference = reference_;
-    MapperFactory factory;
-    if (config_.variant_caller ==
-        PipelineConfig::VariantCaller::kUnifiedGenotyper) {
-      GenotyperOptions ug = config_.ug;
-      factory = [reference, ug] {
-        return std::make_unique<UnifiedGenotyperMapper>(reference, ug);
-      };
-    } else {
-      HaplotypeCallerOptions hc = config_.hc;
-      factory = [reference, hc] {
-        return std::make_unique<HaplotypeCallerMapper>(reference, hc);
-      };
-    }
-    h5 = job5.StartMapOnly(splits5, factory);
-  };
-
-  if (!config_.run_recalibration) {
-    start_round4(dedup_dir_, /*gated=*/true);
-    start_round5();
-  }
-
-  // ---- Await round 3.
-  {
-    Result<JobResult> out = h3->Wait();
-    h3.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    stats_.push_back({config_.markdup_use_bloom ? "round3_markdup_opt"
-                                                : "round3_markdup_reg",
-                      wall.ElapsedSeconds() - t3_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back({stats_.back().name, t3_start,
-                                 wall.ElapsedSeconds()});
-  }
-  {
-    Status s = errors->first();
-    if (!s.ok()) return fail(s);
-  }
-  {
-    Status s = MaybeTick();
-    if (!s.ok()) return fail(s);
-  }
-
-  // ---- Optional recalibration (barriered: the merged covariate table
-  // is a global barrier by construction), then the gated tail.
-  if (config_.run_recalibration) {
-    double recal_start = wall.ElapsedSeconds();
-    size_t before_recal = stats_.size();
-    Status s = RunRecalibrationRounds();
-    if (!s.ok()) return fail(s);
-    double at = recal_start;
-    for (size_t i = before_recal; i < stats_.size(); ++i) {
-      execution_.rounds.push_back(
-          {stats_[i].name, at, at + stats_[i].wall_seconds});
-      at += stats_[i].wall_seconds;
-    }
-    std::string input_dir =
-        ListBams(*dfs_, recal_dir_).empty() ? dedup_dir_ : recal_dir_;
-    start_round4(input_dir, /*gated=*/false);
-    start_round5();
-  }
-
-  // ---- Await round 4.
-  {
-    Result<JobResult> out = h4->Wait();
-    h4.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    stats_.push_back({"round4_sort", wall.ElapsedSeconds() - t4_start,
-                      std::move(result.counters), std::move(result.tasks)});
-    execution_.rounds.push_back(
-        {"round4_sort", t4_start, wall.ElapsedSeconds()});
-  }
-  {
-    Status s = errors->first();
-    if (!s.ok()) return fail(s);
-  }
-  {
-    Status s = MaybeTick();
-    if (!s.ok()) return fail(s);
-  }
-
-  // ---- Await round 5 and decode the calls.
-  std::vector<VariantRecord> variants;
-  {
-    Result<JobResult> out = h5->Wait();
-    h5.reset();
-    if (!out.ok()) return fail(out.status());
-    JobResult result = out.MoveValueUnsafe();
-    for (const auto& part : result.reducer_outputs) {
-      for (const auto& v : part) {
-        size_t offset = 0;
-        Result<VariantRecord> rec = DecodeVariantBinary(v, &offset);
-        if (!rec.ok()) return fail(rec.status());
-        variants.push_back(rec.MoveValueUnsafe());
-      }
-    }
-    std::sort(variants.begin(), variants.end(), VariantLess);
-    stats_.push_back(
-        {config_.variant_caller ==
-                 PipelineConfig::VariantCaller::kUnifiedGenotyper
-             ? "round5_unified_genotyper"
-             : "round5_haplotype_caller",
-         wall.ElapsedSeconds() - t5_start, std::move(result.counters),
-         std::move(result.tasks)});
-    execution_.rounds.push_back({stats_.back().name, t5_start,
-                                 wall.ElapsedSeconds()});
-  }
-  {
-    Status s = errors->first();
-    if (!s.ok()) return fail(s);
-  }
-  GESALL_RETURN_NOT_OK(MaybeTick());
-  return variants;
-}
-
-Status GesallPipeline::WritePartitions(
-    const std::string& stage, const std::vector<std::string>& bam_files) {
-  LogicalPartitionPlacementPolicy policy;
-  for (size_t i = 0; i < bam_files.size(); ++i) {
-    GESALL_RETURN_NOT_OK(dfs_->Write(
-        PartPath(stage, static_cast<int>(i)) + ".bam", bam_files[i],
-        &policy));
-  }
-  return Status::OK();
 }
 
 Result<std::vector<SamRecord>> GesallPipeline::ReadStageRecords(

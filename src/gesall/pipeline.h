@@ -15,7 +15,9 @@
 //
 // Each round reads its input from and writes its output to the DFS, with
 // logical partitions pinned to single data nodes via Gesall's custom
-// block placement policy.
+// block placement policy. Each round's jobs are defined once, in the
+// stage table of pipeline.cc; barriered, pipelined, streamed and resumed
+// runs differ only in how those stages are scheduled.
 
 #ifndef GESALL_GESALL_PIPELINE_H_
 #define GESALL_GESALL_PIPELINE_H_
@@ -137,17 +139,16 @@ struct PipelineConfig {
   /// scheduling changes. Off by default so seeded chaos runs keep their
   /// historical round ordering.
   bool pipelined = false;
-  /// Fuse rounds 1+2 into one streamed job (effective only when
-  /// `pipelined` and not resuming): every map task pumps its FASTQ
-  /// partition through the bounded-queue node graph of pipeline_node.h
-  /// (FastqSource -> Align -> Clean -> shuffle emit), so the aligned
-  /// stage is never materialized on the DFS and the map-side memory
-  /// high-water mark is O(queue capacity * batch) instead of
+  /// Fuse rounds 1+2 into one streamed job: every map task pumps its
+  /// FASTQ partition through the bounded-queue node graph of
+  /// pipeline_node.h (FastqSource -> Align -> Clean -> shuffle emit), so
+  /// the aligned stage is never materialized on the DFS and the map-side
+  /// memory high-water mark is O(queue capacity * batch) instead of
   /// O(partition). Outputs, variant calls, and per-record counters are
   /// byte-identical to the barriered rounds 1+2 (batch boundaries match
   /// AlignPairs' own); the fused round always uses the native aligner.
-  /// The fused round is not sealed, so a crashed streaming run resumes
-  /// from the top of the sample rather than a round boundary.
+  /// It seals round 2 (kRoundCleaning) as "round1_2_streamed"; round 1
+  /// has no manifest. Without `pipelined` it runs on barrier edges.
   bool streaming = false;
   /// Executor every round's tasks run on (not owned). Null selects the
   /// process-wide Executor::Shared().
@@ -181,8 +182,9 @@ struct PipelineConfig {
   /// listed outputs are all present with matching sizes (the skipped
   /// round records a RoundStats entry whose only counter is
   /// "round_skipped_on_resume"). Deterministic rounds make re-execution
-  /// and skipping byte-equivalent. Resume executes barriered: a
-  /// pipelined config falls back to the barriered path for that run.
+  /// and skipping byte-equivalent. A resumed run keeps its schedule: a
+  /// skipped round fires its partitions' readiness signals at once, so
+  /// pipelined and streamed runs overlap the rounds that remain.
   bool resume = false;
   /// Keep stage outputs and manifests on a cancelled RunAll() instead of
   /// deleting them. The durable service layer sets this so a
@@ -216,8 +218,13 @@ class GesallPipeline {
   Status LoadSample(const std::vector<FastqRecord>& mate1,
                     const std::vector<FastqRecord>& mate2);
 
+  /// Each call runs one round's stages with barrier edges, resuming
+  /// (skipping) it when config.resume finds it sealed. With
+  /// config.streaming round 1 owns no stage: RunRound1Alignment() runs
+  /// nothing and RunRound2Cleaning() runs the fused rounds 1+2.
   Status RunRound1Alignment();
   Status RunRound2Cleaning();
+  /// The bloom pre-round (config.markdup_use_bloom), then MarkDuplicates.
   Status RunRound3MarkDuplicates();
   /// Optional (config.run_recalibration): builds and applies the merged
   /// covariate table across all partitions.
@@ -225,7 +232,8 @@ class GesallPipeline {
   Status RunRound4Sort();
   Result<std::vector<VariantRecord>> RunRound5VariantCalling();
 
-  /// Runs rounds 1-5 and returns the final variant calls.
+  /// Runs rounds 1-5 (plus recalibration when configured) and returns
+  /// the final variant calls; config.pipelined overlaps the rounds.
   Result<std::vector<VariantRecord>> RunAll();
 
   /// Concatenated records of a stage ("aligned", "cleaned", "dedup",
@@ -274,14 +282,21 @@ class GesallPipeline {
   /// Writes the round's manifest (when write_manifests) and fires
   /// on_round_complete.
   Status SealRound(int round_index, const std::string& name);
-  /// Resume check: when the round is already sealed, records a skipped
-  /// RoundStats entry + fires the hook and returns true.
-  bool SkipIfSealed(int round_index, const std::string& name);
-  Status WritePartitions(const std::string& stage,
-                         const std::vector<std::string>& bam_files);
-  Result<std::string> BuildBloomFilter();
-  Result<std::vector<VariantRecord>> RunAllBarriered();
-  Result<std::vector<VariantRecord>> RunAllPipelined();
+  /// One MapReduce job of the stage table, and what stages hand to
+  /// later stages (both defined in pipeline.cc).
+  struct Stage;
+  struct StageProducts;
+  /// The stage table: every MR job of the pipeline for this config, in
+  /// order (streaming replaces rounds 1 and 2 with one fused stage).
+  std::vector<Stage> BuildStages(StageProducts* products) const;
+  /// Schedules the table's stages of `rounds` from the calling thread:
+  /// barrier edges, or signal edges where `overlap` allows; resume
+  /// pre-completes sealed rounds. Returns round 5's calls (empty when it
+  /// was not among `rounds`) and appends each landed stage's span to
+  /// `spans` when non-null.
+  Result<std::vector<VariantRecord>> RunRounds(const std::vector<int>& rounds,
+                                               bool overlap,
+                                               std::vector<RoundSpan>* spans);
 
   const ReferenceGenome* reference_;
   const GenomeIndex* index_;

@@ -69,6 +69,7 @@ void EncodeJobPayload(BufferWriter* w, JobId id, const JobSpec& spec) {
   w->PutU64(p.bloom_expected_items);
   w->PutF64(p.bloom_fpr);
   w->PutU8(p.pipelined ? 1 : 0);
+  w->PutU8(p.streaming ? 1 : 0);
 }
 
 Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
@@ -117,6 +118,8 @@ Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
   GESALL_RETURN_NOT_OK(r->GetF64(&p.bloom_fpr));
   GESALL_RETURN_NOT_OK(r->GetU8(&u8));
   p.pipelined = u8 != 0;
+  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
+  p.streaming = u8 != 0;
   return Status::OK();
 }
 

@@ -227,7 +227,9 @@ class StreamingPipelineTest : public PipelineNodeTest {
     std::vector<VariantRecord> variants;
   };
 
-  static Run RunMode(bool streaming) {
+  static Run RunMode(bool streaming) { return RunMode(streaming, streaming); }
+
+  static Run RunMode(bool streaming, bool pipelined) {
     Run run;
     DfsOptions dopt;
     dopt.block_size = 64 * 1024;
@@ -236,7 +238,7 @@ class StreamingPipelineTest : public PipelineNodeTest {
     run.dfs = std::make_unique<Dfs>(dopt);
     PipelineConfig config;
     config.alignment_partitions = 3;
-    config.pipelined = streaming;
+    config.pipelined = pipelined;
     config.streaming = streaming;
     run.pipeline = std::make_unique<GesallPipeline>(*ref_, *index_,
                                                     run.dfs.get(), config);
@@ -287,6 +289,39 @@ TEST_F(StreamingPipelineTest, StreamingRunMatchesBarriered) {
   EXPECT_TRUE(streaming.pipeline->SummarizeExecution().streaming);
   EXPECT_FALSE(barriered.pipeline->SummarizeExecution().streaming);
   EXPECT_GT(streaming.pipeline->SummarizeExecution().peak_rss_bytes, 0);
+}
+
+// Streaming without pipelining is the fused stage on barrier edges: the
+// same bytes as the barriered rounds 1+2, still with no aligned stage.
+TEST_F(StreamingPipelineTest, StreamingWithoutPipelinedMatchesBarriered) {
+  Run barriered = RunMode(/*streaming=*/false);
+  Run streaming = RunMode(/*streaming=*/true, /*pipelined=*/false);
+
+  ASSERT_EQ(streaming.variants.size(), barriered.variants.size());
+  for (size_t i = 0; i < streaming.variants.size(); ++i) {
+    EXPECT_EQ(streaming.variants[i].Key(), barriered.variants[i].Key());
+    EXPECT_EQ(streaming.variants[i].qual, barriered.variants[i].qual);
+  }
+
+  EXPECT_TRUE(streaming.dfs->List("/gesall/aligned/").empty());
+  for (const char* dir :
+       {"/gesall/cleaned/", "/gesall/dedup/", "/gesall/sorted/"}) {
+    std::vector<std::string> paths = barriered.dfs->List(dir);
+    ASSERT_EQ(streaming.dfs->List(dir), paths) << dir;
+    for (const auto& path : paths) {
+      auto a = barriered.dfs->Read(path);
+      auto b = streaming.dfs->Read(path);
+      ASSERT_TRUE(a.ok() && b.ok()) << path;
+      EXPECT_TRUE(a.ValueOrDie() == b.ValueOrDie()) << path;
+    }
+  }
+
+  const auto& stats = streaming.pipeline->stats();
+  ASSERT_FALSE(stats.empty());
+  EXPECT_EQ(stats.front().name, "round1_2_streamed");
+  EXPECT_GT(stats.front().counters.Get("stream_batches"), 0);
+  EXPECT_TRUE(streaming.pipeline->SummarizeExecution().streaming);
+  EXPECT_FALSE(streaming.pipeline->SummarizeExecution().pipelined);
 }
 
 }  // namespace

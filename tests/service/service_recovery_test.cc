@@ -224,6 +224,74 @@ TEST_F(ServiceRecoveryTest, KillRestartResumesAtRoundGranularity) {
   EXPECT_EQ(stats.completed, 2);
 }
 
+// A streamed job's fused rounds 1+2 seal as round 2, and the job log
+// keeps the streaming flag: the recovered job resumes streamed past that
+// round instead of re-running alignment unstreamed.
+TEST_F(ServiceRecoveryTest, KillRestartResumesStreamedJob) {
+  Dfs dfs(DurableDfsOptions());
+  JobId job = 0;
+
+  std::mutex hook_mu;
+  std::condition_variable hook_cv;
+  bool reached_round2 = false;
+  bool crash_landed = false;
+
+  ServiceConfig config = DurableServiceConfig();
+  config.round_complete_hook = [&](JobId, int round_index,
+                                   const std::string&) {
+    if (round_index != kRoundCleaning) return;
+    std::unique_lock<std::mutex> lock(hook_mu);
+    reached_round2 = true;
+    hook_cv.notify_all();
+    hook_cv.wait(lock, [&] { return crash_landed; });
+  };
+  JobSpec spec = MakeJob("gamma");
+  spec.pipeline.pipelined = true;
+  spec.pipeline.streaming = true;
+
+  {
+    GesallService service(*ref_, *index_, &dfs, config);
+    ASSERT_TRUE(service.recovery_status().ok());
+    auto id = service.Submit(spec);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    job = id.ValueOrDie();
+    {
+      std::unique_lock<std::mutex> lock(hook_mu);
+      hook_cv.wait(lock, [&] { return reached_round2; });
+    }
+    std::thread crasher([&] { ASSERT_TRUE(service.SimulateCrash().ok()); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    {
+      std::lock_guard<std::mutex> lock(hook_mu);
+      crash_landed = true;
+    }
+    hook_cv.notify_all();
+    crasher.join();
+    auto out = service.Wait(job);
+    ASSERT_TRUE(out.ok());
+    EXPECT_TRUE(out.ValueOrDie().status.IsCancelled())
+        << out.ValueOrDie().status.ToString();
+  }
+
+  ASSERT_TRUE(dfs.SimulateCrash().ok());
+  GesallService service(*ref_, *index_, &dfs, DurableServiceConfig());
+  ASSERT_TRUE(service.recovery_status().ok())
+      << service.recovery_status().ToString();
+  EXPECT_EQ(service.recovery_stats().jobs_recovered, 1);
+
+  auto out = service.Wait(job);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const JobOutput& resumed = out.ValueOrDie();
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(VariantKeys(resumed.variants), VariantKeys(*baseline_variants_));
+  EXPECT_GE(resumed.counters.Get("round_skipped_on_resume"), 1);
+  EXPECT_EQ(resumed.counters.Get("align_kernel_calls"), 0);
+  // Both legs streamed: the aligned stage never reached the DFS.
+  EXPECT_TRUE(
+      dfs.List("/jobs/gamma/job-" + std::to_string(job) + "/aligned/")
+          .empty());
+}
+
 // A graceful destructor keeps queued jobs in the log (only their
 // waiters see the shutdown cancellation); the next incarnation requeues
 // exactly those, in submit order, with quota accounting rebuilt.

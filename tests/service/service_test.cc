@@ -361,18 +361,31 @@ TEST_F(ServiceTest, TimeoutCancelsARunningJob) {
   Dfs dfs(MakeDfsOptions());
   ServiceConfig config;
   config.max_running_jobs = 1;
-  config.default_timeout_seconds = 0.001;  // far below one pipeline run
+  // The budget starts at Submit, so it must sit well above runner
+  // pickup or the job would time out while still queued.
+  config.default_timeout_seconds = 1.0;
   config.watchdog_interval_ms = 1;
+  // Hold the running job after round 1 until the watchdog has fired, so
+  // the budget always expires mid-run, however fast the pipeline is.
+  GesallService* service_ptr = nullptr;
+  config.round_complete_hook = [&service_ptr](JobId, int round_index,
+                                              const std::string&) {
+    if (round_index != kRoundAlignment) return;
+    for (int ms = 0; ms < 60'000 && service_ptr->stats().timed_out == 0;
+         ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   GesallService service(*ref_, *index_, &dfs, config);
+  service_ptr = &service;
   auto id = service.Submit(MakeJob("t"));
   ASSERT_TRUE(id.ok());
   auto out = service.Wait(id.ValueOrDie());
   ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out.ValueOrDie().status.IsCancelled())
-      << out.ValueOrDie().status.ToString();
-  EXPECT_NE(out.ValueOrDie().status.ToString().find("timeout"),
-            std::string::npos)
-      << out.ValueOrDie().status.ToString();
+  const std::string status = out.ValueOrDie().status.ToString();
+  EXPECT_TRUE(out.ValueOrDie().status.IsCancelled()) << status;
+  EXPECT_NE(status.find("timeout"), std::string::npos) << status;
+  EXPECT_EQ(status.find("in queue"), std::string::npos) << status;
   EXPECT_GE(service.stats().timed_out, 1);
 }
 

@@ -415,6 +415,16 @@ TEST(ThrottleTest, QueuedTasksKeepTheSubmittersTag) {
     }
   }
   while (done.load() < 12) std::this_thread::yield();
+  // A worker charges a task to its tag only after the task returns, and
+  // a throttled task launches its successor before returning, so the
+  // last charges can trail `done`: wait for them too.
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(5000);
+  while (executor.tag_stats(1).tasks_executed +
+                 executor.tag_stats(2).tasks_executed <
+             12 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(executor.tag_stats(1).tasks_executed, 6);
   EXPECT_EQ(executor.tag_stats(2).tasks_executed, 6);
 }

@@ -171,8 +171,6 @@ void PrintJson(std::FILE* f, const ModeResult& barriered,
                pipelined.execution.serialized_round_seconds);
   std::fprintf(f, "  \"pipelined_overlap_seconds_saved\": %.4f,\n",
                pipelined.execution.overlap_seconds_saved);
-  std::fprintf(f, "  \"pipelined_critical_path_seconds\": %.4f,\n",
-               pipelined.execution.critical_path_seconds);
   std::fprintf(f, "  \"rounds\": [\n");
   const auto& rounds = pipelined.execution.rounds;
   for (size_t i = 0; i < rounds.size(); ++i) {
@@ -256,8 +254,7 @@ int Main(int argc, char** argv) {
               streamed.wall_seconds,
               streamed.execution.serialized_round_seconds,
               streamed.execution.overlap_seconds_saved);
-  std::printf("  speedup: %.2fx (critical path %.3fs)\n", speedup,
-              pipelined.execution.critical_path_seconds);
+  std::printf("  speedup: %.2fx\n", speedup);
   std::printf("  streaming: %.2fx vs pipelined; peak alloc %lld -> %lld "
               "bytes at 2x depth (%.2fx; monolithic %lld)\n",
               sg.speedup_vs_pipelined,

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus sanitizer passes over the failure-handling
-# hot spots.
+# Tier-1 verification, the end-to-end benchmark's smoke run, plus
+# sanitizer passes over the failure-handling hot spots.
 #
-#   scripts/check.sh                 # tier-1 + ASan + UBSan + TSan suites
+#   scripts/check.sh                 # tier-1 + e2e smoke + ASan + UBSan + TSan
 #   scripts/check.sh --no-asan       # skip the ASan pass
 #   scripts/check.sh --no-tsan       # skip the TSan pass
-#   scripts/check.sh --no-sanitizers # tier-1 only
+#   scripts/check.sh --no-sanitizers # tier-1 + e2e smoke only
+#
+# The e2e smoke step builds bench/e2e (a standalone CMake project over
+# src/) into build/e2e and runs its --smoke ctest, so a library change
+# that breaks the benchmark's build or its reference-digest check fails
+# here rather than only when the benchmark runs.
 #
 # The sanitizer builds live in build-asan/, build-ubsan/ and
 # build-tsan/ so they never pollute the regular build directory, and
@@ -32,14 +37,14 @@
 #     saturating DP arithmetic must be free of undefined behavior, or
 #     corruption detection itself can't be trusted.
 #   - TSan (util_test, mr_test, service_test, dfs_test, plus the
-#     node-graph and round-DAG suites): the work-stealing executor (per-worker deques,
-#     steal-half transfers, TaskGroup helping waits, the shutdown/submit
-#     race) and the async MapReduce engine built on it are
-#     lock-ordering-sensitive by design; a data race here silently
-#     reorders round outputs. The service suite adds the job-manager
-#     threads (runners, watchdog, heartbeat) racing admission,
-#     cancellation and drain, including the multi-tenant chaos test over
-#     a shared DFS. The PipelineNodeTest filter exercises the pipeline
+#     node-graph, schedule and serial-oracle suites): the work-stealing
+#     executor (per-worker deques, steal-half transfers, TaskGroup
+#     helping waits, the shutdown/submit race) and the async MapReduce
+#     engine built on it are lock-ordering-sensitive by design; a data
+#     race here silently reorders round outputs. The service suite adds
+#     the job-manager threads (runners, watchdog, heartbeat) racing
+#     admission, cancellation and drain, including the multi-tenant
+#     chaos test over a shared DFS. The PipelineNodeTest filter exercises the pipeline
 #     node graph's pump/park state machine — one-shot queue wake-ups
 #     racing the idle transition, abort racing parked callbacks — which
 #     is exactly the machinery TSan exists for (util_test covers the
@@ -52,6 +57,10 @@
 #     jobs against gates its sealed rounds fired before the jobs
 #     existed; the dfs suite covers concurrent Dfs::Write calls, each
 #     fanning its compress_parts deflate out as a nested TaskGroup.
+#     The SerialPipelineTest filter runs the serial oracle, whose chain
+#     is one task on a private one-worker executor that hands its result
+#     back to the blocked caller and pumps the alignment node graph
+#     alone.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,6 +81,11 @@ echo "=== tier-1: configure + build + ctest ==="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure --timeout 1200
+
+echo "=== bench/e2e: build + smoke run ==="
+cmake -S bench/e2e -B build/e2e
+cmake --build build/e2e -j
+ctest --test-dir build/e2e --output-on-failure
 
 if [[ "$run_asan" == 1 ]]; then
   echo "=== asan: shuffle engine + aligner + durability suites ==="
@@ -104,7 +118,7 @@ if [[ "$run_tsan" == 1 ]]; then
   ./build-tsan/tests/service_test
   ./build-tsan/tests/dfs_test
   ./build-tsan/tests/gesall_test \
-    --gtest_filter='PipelineNodeTest.*:StreamingPipelineTest.*:PipelineDagTest.*:*PipelineScheduleTest.*'
+    --gtest_filter='PipelineNodeTest.*:StreamingPipelineTest.*:PipelineDagTest.*:*PipelineScheduleTest.*:SerialPipelineTest.*'
 fi
 
 echo "=== check.sh: all green ==="

@@ -217,10 +217,8 @@ struct RoundSpan {
 
 /// \brief Execution-engine telemetry of one pipeline run on the shared
 /// work-stealing executor: task/steal/queue-wait counts (delta over the
-/// run), the per-round wall spans, and the duration-weighted critical
-/// path of the round DAG — the lower bound on wall time no amount of
-/// extra overlap can beat. overlap_seconds_saved compares the actual
-/// wall clock against the sum of round durations (what a fully
+/// run) and the per-round wall spans. overlap_seconds_saved compares the
+/// actual wall clock against the sum of round durations (what a fully
 /// barriered engine would have spent).
 struct ExecutionSummary {
   // Executor telemetry (delta across the run).
@@ -229,7 +227,7 @@ struct ExecutionSummary {
   int64_t tasks_stolen = 0;
   double queue_wait_seconds = 0;
 
-  // Round-DAG accounting.
+  // Round scheduling.
   bool pipelined = false;
   // Rounds 1+2 ran fused through the streaming node graph (no aligned
   // stage on the DFS); see PipelineConfig::streaming.
@@ -242,8 +240,6 @@ struct ExecutionSummary {
   double wall_seconds = 0;
   double serialized_round_seconds = 0;  // sum of round durations
   double overlap_seconds_saved = 0;     // serialized - wall (>= 0)
-  double critical_path_seconds = 0;
-  std::vector<std::string> critical_path;  // round names along it
   std::vector<RoundSpan> rounds;
 };
 

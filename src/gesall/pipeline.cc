@@ -13,8 +13,6 @@
 #include "gesall/keys.h"
 #include "gesall/linear_index.h"
 #include "gesall/pipeline_node.h"
-#include "gesall/round_dag.h"
-#include "gesall/streaming.h"
 #include "gesall/transform.h"
 #include "util/bloom_filter.h"
 #include "util/io.h"
@@ -54,7 +52,7 @@ std::vector<std::string> ListBams(const Dfs& dfs, const std::string& dir) {
 }
 
 // ---------------------------------------------------------------------
-// Round 1: map-only alignment (Bwa wrapper + SamToBam via "streaming").
+// Round 1: map-only alignment (Bwa wrapper + SamToBam, both in-process).
 
 // Surfaces the extension-kernel counters (which kernel ran, how much of
 // the DP the band skipped) in the round's counter table.
@@ -105,37 +103,10 @@ class StreamedRoundMapper : public Mapper {
 
 class AlignmentMapper : public Mapper {
  public:
-  AlignmentMapper(const GenomeIndex* index, const PairedAlignerOptions& opt,
-                  bool use_streaming)
-      : index_(index), options_(opt), use_streaming_(use_streaming) {}
+  AlignmentMapper(const GenomeIndex* index, const PairedAlignerOptions& opt)
+      : index_(index), options_(opt) {}
 
   Status Map(const std::string& input, MapContext* ctx) override {
-    if (use_streaming_) return MapStreaming(input, ctx);
-    return MapNative(input, ctx);
-  }
-
- private:
-  // Fig. 8 dataflow: FASTQ text lines -> pipe -> bwa mem -> pipe ->
-  // SamToBam, with pipe statistics exposed as counters.
-  Status MapStreaming(const std::string& input, MapContext* ctx) {
-    BwaStreamProgram bwa(*index_, options_);
-    StreamingStats stats;
-    GESALL_ASSIGN_OR_RETURN(
-        std::string sam_text, RunWrappedProgram(ctx, [&] {
-          return RunStreamingChain(input, {&bwa}, &stats);
-        }));
-    ctx->IncrementCounter("streaming_pipe_flushes", stats.pipe_flushes);
-    ctx->IncrementCounter("streaming_bytes_out", stats.output_bytes);
-    EmitKernelCounters(ctx, bwa.kernel_stats());
-    // Wrapped external program #2: SamToBam on the piped SAM text.
-    GESALL_ASSIGN_OR_RETURN(std::string bam, RunWrappedProgram(ctx, [&] {
-                              return SamTextToBam(sam_text);
-                            }));
-    ctx->Emit("", std::move(bam));
-    return Status::OK();
-  }
-
-  Status MapNative(const std::string& input, MapContext* ctx) {
     // Transform: text FASTQ -> record structs (TextInputWriter analog).
     PairedEndAligner aligner(*index_, options_);
     std::vector<FastqRecord> reads;
@@ -159,9 +130,9 @@ class AlignmentMapper : public Mapper {
     return Status::OK();
   }
 
+ private:
   const GenomeIndex* index_;
   PairedAlignerOptions options_;
-  bool use_streaming_;
 };
 
 // ---------------------------------------------------------------------
@@ -264,13 +235,15 @@ class FixMateReducer : public Reducer {
 // ---------------------------------------------------------------------
 // Bloom pre-round for MarkDup_opt: record the 5' ends of partial pairs.
 
+// Filter geometry, shared by every per-mapper filter so that they union.
+constexpr size_t kBloomExpectedItems = 100'000;
+constexpr double kBloomFpr = 0.01;
+
 class BloomMapper : public Mapper {
  public:
-  BloomMapper(size_t expected, double fpr) : expected_(expected), fpr_(fpr) {}
-
   Status Map(const std::string& input, MapContext* ctx) override {
     GESALL_ASSIGN_OR_RETURN(auto dataset, BamToDataset(input, ctx));
-    BloomFilter filter(expected_, fpr_);
+    BloomFilter filter(kBloomExpectedItems, kBloomFpr);
     auto& records = dataset.second;
     for (size_t i = 0; i + 1 < records.size(); i += 2) {
       const SamRecord& a = records[i];
@@ -282,10 +255,6 @@ class BloomMapper : public Mapper {
     ctx->Emit("bloom", filter.Serialize());
     return Status::OK();
   }
-
- private:
-  size_t expected_;
-  double fpr_;
 };
 
 // ---------------------------------------------------------------------
@@ -775,17 +744,12 @@ JobConfig GesallPipeline::MakeJobConfig(int reducers) const {
   cfg.sort_buffer_bytes = config_.sort_buffer_bytes;
   cfg.fault_injector = config_.fault_injector;
   cfg.max_task_attempts = config_.max_task_attempts;
-  cfg.retry_base_ms = config_.retry_base_ms;
-  cfg.speculative_execution = config_.speculative_execution;
-  cfg.speculative_slow_task_ms = config_.speculative_slow_task_ms;
-  cfg.skip_bad_records = config_.skip_bad_records;
   cfg.compress_shuffle = config_.compress_shuffle;
   cfg.shuffle_compress_level = config_.shuffle_compress_level;
   // Node model: MR tasks run on the same simulated cluster the DFS
   // replicates over, so "node.crash" kills both a node's replicas (on
   // the next heartbeat Tick) and its map outputs (at reduce fetch).
   cfg.num_nodes = dfs_ != nullptr ? dfs_->num_data_nodes() : 0;
-  cfg.max_map_reexecutions = config_.max_map_reexecutions;
   cfg.executor = config_.executor;  // null selects Executor::Shared()
   cfg.cancel = config_.cancel;
   return cfg;
@@ -1035,9 +999,8 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
     };
     const GenomeIndex* index = index_;
     const PairedAlignerOptions opt = config_.aligner;
-    const bool streaming = config_.use_streaming_alignment;
-    align.mapper = [index, opt, streaming] {
-      return std::make_unique<AlignmentMapper>(index, opt, streaming);
+    align.mapper = [index, opt] {
+      return std::make_unique<AlignmentMapper>(index, opt);
     };
     align.output_dir = aligned_dir_;
     stages.push_back(std::move(align));
@@ -1081,14 +1044,10 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
         -> Result<std::vector<InputSplit>> {
       return FileSplits(dfs_, cleaned_dir_, gates, /*locality=*/false);
     };
-    const size_t expected = config_.bloom_expected_items;
-    const double fpr = config_.bloom_fpr;
-    bloom.mapper = [expected, fpr] {
-      return std::make_unique<BloomMapper>(expected, fpr);
-    };
-    bloom.finish = [products, expected, fpr](JobResult* result) -> Status {
+    bloom.mapper = [] { return std::make_unique<BloomMapper>(); };
+    bloom.finish = [products](JobResult* result) -> Status {
       if (result == nullptr) return Status::OK();
-      BloomFilter merged(expected, fpr);
+      BloomFilter merged(kBloomExpectedItems, kBloomFpr);
       for (const auto& part : result->reducer_outputs) {
         for (const auto& v : part) {
           GESALL_ASSIGN_OR_RETURN(BloomFilter f, BloomFilter::Deserialize(v));
@@ -1537,21 +1496,10 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunAll() {
     }
   }
 
-  // Round-level DAG: each recorded round depends on the previous one
-  // (the order rounds were awaited is the dependency spine), so the
-  // critical path is the serialized bound overlap is measured against.
-  RoundDag dag;
-  int prev = -1;
   for (const auto& span : execution_.rounds) {
-    int node = dag.AddTask(span.name);
-    dag.RecordSpan(node, span.start_seconds, span.end_seconds);
-    if (prev >= 0) dag.AddDep(prev, node);
-    prev = node;
     execution_.serialized_round_seconds +=
         span.end_seconds - span.start_seconds;
   }
-  execution_.critical_path = dag.CriticalPath();
-  execution_.critical_path_seconds = dag.CriticalPathSeconds();
   execution_.overlap_seconds_saved = std::max(
       0.0, execution_.serialized_round_seconds - execution_.wall_seconds);
   return result;

@@ -2,7 +2,7 @@
 // paper's evaluation (§4.1, Appendix A.2), executed on the functional
 // MapReduce engine over the DFS substrate.
 //
-//   Round 1  map-only   Bwa alignment + SamToBam           (streaming)
+//   Round 1  map-only   Bwa alignment + SamToBam
 //   Round 2  map+reduce AddReplaceGroups + CleanSam | shuffle by read
 //                        name | FixMateInformation
 //   Round 3  map+reduce compound-key extraction (MarkDup_reg or
@@ -87,12 +87,6 @@ struct PipelineConfig {
   PairedAlignerOptions aligner;
   HaplotypeCallerOptions hc;
 
-  /// Run Round 1 through the Hadoop-Streaming analog (Fig. 8: FASTQ text
-  /// -> pipe -> bwa mem -> pipe -> SamToBam) instead of calling the
-  /// aligner natively. Output is identical; pipe statistics land in the
-  /// round counters.
-  bool use_streaming_alignment = true;
-
   enum class HcPartitioning { kChromosome, kOverlappingSegments };
   HcPartitioning hc_partitioning = HcPartitioning::kChromosome;
   /// Segments per chromosome in overlapping mode (degree of parallelism
@@ -111,25 +105,15 @@ struct PipelineConfig {
   /// covariates, §3.2), then a second map-only round rewrites qualities.
   bool run_recalibration = false;
 
-  /// Bloom filter geometry for MarkDup_opt (must be uniform so that
-  /// per-mapper filters union).
-  size_t bloom_expected_items = 100'000;
-  double bloom_fpr = 0.01;
-
-  /// Fault-tolerance knobs, forwarded into every round's JobConfig.
-  /// The injector (optional; not owned) lets chaos tests exercise the
-  /// retry machinery deterministically; it is also installed on the DFS
-  /// read path for the lifetime of the pipeline runs.
+  /// Fault-tolerance knobs, forwarded into every round's JobConfig; the
+  /// other JobConfig retry, speculation and re-execution knobs keep
+  /// their defaults, and the node model sizes from the DFS cluster
+  /// (num_nodes = dfs->num_data_nodes()). The injector (optional; not
+  /// owned) lets chaos tests exercise the retry machinery
+  /// deterministically; it is also installed on the DFS read path for
+  /// the lifetime of the pipeline runs.
   FaultInjector* fault_injector = nullptr;
   int max_task_attempts = 2;
-  int retry_base_ms = 0;
-  bool speculative_execution = false;
-  int speculative_slow_task_ms = 100;
-  bool skip_bad_records = false;
-  /// Lost-map-output bound forwarded into every round's JobConfig (the
-  /// node model itself sizes from the DFS cluster: num_nodes =
-  /// dfs->num_data_nodes()).
-  int max_map_reexecutions = 2;
 
   /// Overlap the five rounds in RunAll(): a round's map tasks start as
   /// soon as the upstream partition they read is written (Round 5 HC for
@@ -146,9 +130,9 @@ struct PipelineConfig {
   /// memory high-water mark is O(queue capacity * batch) instead of
   /// O(partition). Outputs, variant calls, and per-record counters are
   /// byte-identical to the barriered rounds 1+2 (batch boundaries match
-  /// AlignPairs' own); the fused round always uses the native aligner.
-  /// It seals round 2 (kRoundCleaning) as "round1_2_streamed"; round 1
-  /// has no manifest. Without `pipelined` it runs on barrier edges.
+  /// AlignPairs' own). It seals round 2 (kRoundCleaning) as
+  /// "round1_2_streamed"; round 1 has no manifest. Without `pipelined`
+  /// it runs on barrier edges.
   bool streaming = false;
   /// Executor every round's tasks run on (not owned). Null selects the
   /// process-wide Executor::Shared().
@@ -261,8 +245,8 @@ class GesallPipeline {
   StorageSummary SummarizeStorage() const;
 
   /// Execution-engine telemetry of the last RunAll(): executor
-  /// task/steal/queue-wait deltas, per-round wall spans, and the
-  /// critical path of the round DAG. Zero before RunAll() ran.
+  /// task/steal/queue-wait deltas and per-round wall spans. Zero before
+  /// RunAll() ran.
   const ExecutionSummary& SummarizeExecution() const { return execution_; }
 
  private:
@@ -318,9 +302,9 @@ class GesallPipeline {
 
 // ---------------------------------------------------------------------
 // Serial reference pipeline (the paper's single-node "gold standard",
-// GATK best practices): the same wrapped programs executed as a RoundDag
-// chain on a single-worker executor, plus hybrid tails used to compute
-// the discordant-impact (D_impact) measures of §4.5.2.
+// GATK best practices): the same wrapped programs executed as a chain of
+// timed steps on a single-worker executor, plus hybrid tails used to
+// compute the discordant-impact (D_impact) measures of §4.5.2.
 
 /// \brief Serial pipeline configuration.
 struct SerialPipelineConfig {

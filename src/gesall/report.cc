@@ -165,13 +165,6 @@ Result<DiagnosisReport> GenerateDiagnosisReport(
                 "(overlap saved %.3fs)\n",
            ex.wall_seconds, ex.serialized_round_seconds,
            ex.overlap_seconds_saved);
-    std::string path;
-    for (const auto& name : ex.critical_path) {
-      if (!path.empty()) path += " -> ";
-      path += name;
-    }
-    Append(&md, "- critical path (%.3fs): %s\n", ex.critical_path_seconds,
-           path.c_str());
     for (const auto& round : ex.rounds) {
       Append(&md, "- round %s: [%.3fs, %.3fs]", round.name.c_str(),
              round.start_seconds, round.end_seconds);

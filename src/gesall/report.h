@@ -34,9 +34,8 @@ struct DiagnosisReportInputs {
   /// its own section alongside the fault-tolerance one.
   const NodeFailureSummary* node_failures = nullptr;
   /// Optional execution-engine telemetry of the parallel run (executor
-  /// task/steal/queue-wait counts, per-round wall spans, critical path
-  /// of the round DAG) — rendered as its own section so a reviewer sees
-  /// where the wall-clock went and what bounds further overlap.
+  /// task/steal/queue-wait counts, per-round wall spans) — rendered as
+  /// its own section that shows where the wall-clock went.
   const ExecutionSummary* execution = nullptr;
   /// Optional disk-byte/compression telemetry (raw vs on-disk bytes on
   /// the shuffle and DFS paths, codec cpu time) — rendered as its own

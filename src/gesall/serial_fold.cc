@@ -1,11 +1,11 @@
-// Serial reference pipeline, folded onto the execution engine: the
-// wrapped-program chain (Table 2) runs as a linear RoundDag on a
-// single-worker executor — the same scheduling code path as the
-// distributed engine, minus parallelism. Node spans double as the
-// per-program step_seconds the diagnosis report consumes.
+// Serial reference pipeline: the wrapped-program chain (Table 2) runs as
+// a list of timed steps, one after another, on a single-worker executor.
+// Each step's wall time is the per-program step_seconds the diagnosis
+// report consumes.
 
+#include <functional>
+#include <future>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,8 +15,8 @@
 #include "analysis/steps.h"
 #include "gesall/pipeline.h"
 #include "gesall/pipeline_node.h"
-#include "gesall/round_dag.h"
 #include "util/executor.h"
+#include "util/stopwatch.h"
 
 namespace gesall {
 
@@ -46,8 +46,8 @@ struct ChainState {
   const ReferenceGenome* reference = nullptr;
   const SerialPipelineConfig* config = nullptr;
   // The chain's own single-worker executor, set by RunChain before the
-  // dag runs: nodes that pump a NodeGraph (the alignment head) run it
-  // on the same worker their dag task occupies.
+  // first step: the alignment head pumps its NodeGraph on the same
+  // worker the chain occupies.
   Executor* chain_executor = nullptr;
   SamHeader header;
   std::vector<SamRecord> records;
@@ -55,77 +55,96 @@ struct ChainState {
   RecalibrationTable recal_table;
 };
 
-// Appends the cleaning -> markdup -> sort [-> recal] -> HC chain to
-// `dag` as a linear dependency spine. Optional snapshot pointers copy a
-// stage's output the moment it completes (the R_i of the diagnosis
-// formalism); from_deduped skips straight to the sort.
-void AppendTailChain(RoundDag* dag, ChainState* state, int head,
+// One wrapped program of the chain: its step_seconds name and its body.
+struct Step {
+  std::string name;
+  std::function<Status()> run;
+};
+
+// Appends the cleaning -> markdup -> sort [-> recal] -> HC steps.
+// Optional snapshot pointers copy a stage's output the moment it
+// completes (the R_i of the diagnosis formalism); from_deduped skips
+// straight to the sort.
+void AppendTailChain(std::vector<Step>* steps, ChainState* state,
                      bool from_deduped,
                      std::vector<SamRecord>* cleaned_out,
                      std::vector<SamRecord>* deduped_out,
                      SamHeader* header_out,
                      std::vector<SamRecord>* sorted_out) {
-  auto link = [dag, &head](int node) {
-    if (head >= 0) dag->AddDep(head, node);
-    head = node;
+  auto add = [steps](const char* name, std::function<Status()> run) {
+    steps->push_back({name, std::move(run)});
   };
   if (!from_deduped) {
-    link(dag->AddTask("add_replace_groups", [state] {
+    add("add_replace_groups", [state] {
       return AddReplaceReadGroups(state->config->read_group, &state->header,
                                   &state->records);
-    }));
-    link(dag->AddTask("clean_sam", [state] {
+    });
+    add("clean_sam", [state] {
       CleanSam(state->header, &state->records);
       return Status::OK();
-    }));
-    link(dag->AddTask("fix_mate_info", [state, cleaned_out, header_out] {
+    });
+    add("fix_mate_info", [state, cleaned_out, header_out] {
       GESALL_RETURN_NOT_OK(FixMateInformation(&state->records));
       if (cleaned_out != nullptr) *cleaned_out = state->records;
       if (header_out != nullptr) *header_out = state->header;
       return Status::OK();
-    }));
-    link(dag->AddTask("mark_duplicates", [state, deduped_out] {
+    });
+    add("mark_duplicates", [state, deduped_out] {
       GESALL_RETURN_NOT_OK(MarkDuplicates(&state->records).status());
       if (deduped_out != nullptr) *deduped_out = state->records;
       return Status::OK();
-    }));
+    });
   }
-  link(dag->AddTask("sort_sam", [state] {
+  add("sort_sam", [state] {
     SortSamByCoordinate(&state->header, &state->records);
     return Status::OK();
-  }));
+  });
   if (state->config->run_recalibration) {
-    link(dag->AddTask("base_recalibrator", [state] {
+    add("base_recalibrator", [state] {
       state->recal_table =
           BaseRecalibrator(*state->reference, state->records);
       return Status::OK();
-    }));
-    link(dag->AddTask("print_reads", [state] {
+    });
+    add("print_reads", [state] {
       PrintReads(state->recal_table, &state->records);
       return Status::OK();
-    }));
+    });
   }
-  link(dag->AddTask("haplotype_caller", [state, sorted_out] {
+  add("haplotype_caller", [state, sorted_out] {
     if (sorted_out != nullptr) *sorted_out = state->records;
     HaplotypeCaller caller(*state->reference, state->config->hc);
     state->variants = caller.CallAll(state->records);
     return Status::OK();
-  }));
+  });
 }
 
-// Runs the dag on a private single-worker executor and folds node spans
-// into per-program timings (the step_seconds contract).
-Status RunChain(RoundDag* dag, ChainState* state,
+// Runs the steps in order as one task on a private single-worker
+// executor, stopping at the first error, and adds each step's wall time
+// to `timings` under its name (the step_seconds contract). The caller
+// blocks on the task instead of helping, so that one worker alone pumps
+// the alignment head's node graph and every step time is a one-thread
+// time.
+Status RunChain(const std::vector<Step>& steps, ChainState* state,
                 std::map<std::string, double>* timings) {
+  std::promise<Status> done;
+  std::future<Status> result = done.get_future();
+  // Declared after `done`, so its destructor joins the worker before
+  // the promise the task writes goes away.
   Executor serial_executor(1);
   state->chain_executor = &serial_executor;
-  GESALL_RETURN_NOT_OK(dag->Run(&serial_executor));
-  if (timings != nullptr) {
-    for (const auto& node : dag->nodes()) {
-      if (node.ran) (*timings)[node.name] += node.duration_seconds();
+  serial_executor.Submit([&steps, timings, &done] {
+    for (const Step& step : steps) {
+      Stopwatch clock;
+      Status status = step.run();
+      if (!status.ok()) {
+        done.set_value(std::move(status));
+        return;
+      }
+      if (timings != nullptr) (*timings)[step.name] += clock.ElapsedSeconds();
     }
-  }
-  return Status::OK();
+    done.set_value(Status::OK());
+  });
+  return result.get();
 }
 
 }  // namespace
@@ -139,8 +158,8 @@ Result<SerialStageOutputs> RunSerialPipeline(
   state.reference = &reference;
   state.config = &config;
 
-  RoundDag dag;
-  int head = dag.AddTask("bwa", [&] {
+  std::vector<Step> steps;
+  steps.push_back({"bwa", [&] {
     // Alignment runs through the same streaming node graph as the fused
     // distributed round (pipeline_node.h), pumped on the chain's single
     // worker — outputs are bit-identical to a monolithic AlignPairs,
@@ -160,10 +179,10 @@ Result<SerialStageOutputs> RunSerialPipeline(
         &sstats));
     out.aligned = state.records;
     return Status::OK();
-  });
-  AppendTailChain(&dag, &state, head, /*from_deduped=*/false, &out.cleaned,
+  }});
+  AppendTailChain(&steps, &state, /*from_deduped=*/false, &out.cleaned,
                   &out.deduped, &out.header, &out.sorted);
-  GESALL_RETURN_NOT_OK(RunChain(&dag, &state, &out.step_seconds));
+  GESALL_RETURN_NOT_OK(RunChain(steps, &state, &out.step_seconds));
   out.variants = std::move(state.variants);
   return out;
 }
@@ -177,10 +196,10 @@ Result<std::vector<VariantRecord>> SerialTailFromAligned(
   state.config = &config;
   state.header = header;
   state.records = std::move(aligned);
-  RoundDag dag;
-  AppendTailChain(&dag, &state, /*head=*/-1, /*from_deduped=*/false,
-                  nullptr, nullptr, nullptr, nullptr);
-  GESALL_RETURN_NOT_OK(RunChain(&dag, &state, nullptr));
+  std::vector<Step> steps;
+  AppendTailChain(&steps, &state, /*from_deduped=*/false, nullptr, nullptr,
+                  nullptr, nullptr);
+  GESALL_RETURN_NOT_OK(RunChain(steps, &state, nullptr));
   return std::move(state.variants);
 }
 
@@ -192,10 +211,10 @@ Result<std::vector<VariantRecord>> SerialTailFromDeduped(
   state.config = &config;
   state.header = header;
   state.records = std::move(deduped);
-  RoundDag dag;
-  AppendTailChain(&dag, &state, /*head=*/-1, /*from_deduped=*/true, nullptr,
-                  nullptr, nullptr, nullptr);
-  GESALL_RETURN_NOT_OK(RunChain(&dag, &state, nullptr));
+  std::vector<Step> steps;
+  AppendTailChain(&steps, &state, /*from_deduped=*/true, nullptr, nullptr,
+                  nullptr, nullptr);
+  GESALL_RETURN_NOT_OK(RunChain(steps, &state, nullptr));
   return std::move(state.variants);
 }
 

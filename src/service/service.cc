@@ -42,7 +42,10 @@ Status DecodeFastq(BufferReader* r, std::vector<FastqRecord>* out) {
 // The durable subset of a job: identity, service-level requirements, the
 // sample itself, and the pipeline knobs that change outputs. The
 // aligner/caller option structs are not persisted — a recovered job runs
-// them at their defaults.
+// them at their defaults. Recovery decodes a record exactly or fails:
+// enum bytes are range-checked and leftover bytes are Corruption, so a
+// record in any other layout (such as one that still carries removed
+// fields) never requeues a job with shifted knobs.
 void EncodeJobPayload(BufferWriter* w, JobId id, const JobSpec& spec) {
   w->PutU64(id);
   w->PutString(spec.tenant);
@@ -61,15 +64,33 @@ void EncodeJobPayload(BufferWriter* w, JobId id, const JobSpec& spec) {
   w->PutString(p.read_group.id);
   w->PutString(p.read_group.sample);
   w->PutString(p.read_group.library);
-  w->PutU8(p.use_streaming_alignment ? 1 : 0);
   w->PutU8(static_cast<uint8_t>(p.hc_partitioning));
   w->PutI64(p.hc_segments_per_chromosome);
   w->PutU8(static_cast<uint8_t>(p.variant_caller));
   w->PutU8(p.run_recalibration ? 1 : 0);
-  w->PutU64(p.bloom_expected_items);
-  w->PutF64(p.bloom_fpr);
   w->PutU8(p.pipelined ? 1 : 0);
   w->PutU8(p.streaming ? 1 : 0);
+}
+
+// Reads one enum byte, rejecting values past the enum's last member.
+template <typename Enum>
+Status GetEnumByte(BufferReader* r, const char* field, Enum last, Enum* out) {
+  uint8_t u8 = 0;
+  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
+  if (u8 > static_cast<uint8_t>(last)) {
+    return Status::Corruption(std::string("job log: ") + field + " byte " +
+                              std::to_string(u8) + " is out of range");
+  }
+  *out = static_cast<Enum>(u8);
+  return Status::OK();
+}
+
+// Fails when a decoded record or snapshot has bytes left over.
+Status ExpectFullyDecoded(const BufferReader& r, const char* what) {
+  if (r.AtEnd()) return Status::OK();
+  return Status::Corruption(std::string("job log: ") + what + " has " +
+                            std::to_string(r.remaining()) +
+                            " bytes left after decoding");
 }
 
 Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
@@ -86,7 +107,6 @@ Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
   GESALL_RETURN_NOT_OK(DecodeFastq(r, &spec->mate2));
   PipelineConfig& p = spec->pipeline;
   int64_t i64 = 0;
-  uint64_t u64 = 0;
   uint8_t u8 = 0;
   GESALL_RETURN_NOT_OK(r->GetI64(&i64));
   p.alignment_partitions = static_cast<int>(i64);
@@ -103,19 +123,17 @@ Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.id));
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.sample));
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.library));
-  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
-  p.use_streaming_alignment = u8 != 0;
-  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
-  p.hc_partitioning = static_cast<PipelineConfig::HcPartitioning>(u8);
+  GESALL_RETURN_NOT_OK(GetEnumByte(
+      r, "hc_partitioning",
+      PipelineConfig::HcPartitioning::kOverlappingSegments,
+      &p.hc_partitioning));
   GESALL_RETURN_NOT_OK(r->GetI64(&i64));
   p.hc_segments_per_chromosome = static_cast<int>(i64);
-  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
-  p.variant_caller = static_cast<PipelineConfig::VariantCaller>(u8);
+  GESALL_RETURN_NOT_OK(GetEnumByte(
+      r, "variant_caller", PipelineConfig::VariantCaller::kUnifiedGenotyper,
+      &p.variant_caller));
   GESALL_RETURN_NOT_OK(r->GetU8(&u8));
   p.run_recalibration = u8 != 0;
-  GESALL_RETURN_NOT_OK(r->GetU64(&u64));
-  p.bloom_expected_items = static_cast<size_t>(u64);
-  GESALL_RETURN_NOT_OK(r->GetF64(&p.bloom_fpr));
   GESALL_RETURN_NOT_OK(r->GetU8(&u8));
   p.pipelined = u8 != 0;
   GESALL_RETURN_NOT_OK(r->GetU8(&u8));
@@ -634,7 +652,7 @@ void GesallService::RecoverJobs() {
     uint32_t n = 0;
     GESALL_RETURN_NOT_OK(reader.GetU32(&n));
     for (uint32_t i = 0; i < n; ++i) GESALL_RETURN_NOT_OK(add(&reader));
-    return Status::OK();
+    return ExpectFullyDecoded(reader, "snapshot");
   };
   auto apply = [&](std::string_view record) -> Status {
     BufferReader reader(record);
@@ -642,7 +660,8 @@ void GesallService::RecoverJobs() {
     GESALL_RETURN_NOT_OK(reader.GetU8(&op));
     switch (op) {
       case kOpSubmit:
-        return add(&reader);
+        GESALL_RETURN_NOT_OK(add(&reader));
+        return ExpectFullyDecoded(reader, "submit record");
       case kOpStart:
       case kOpRound:
         // Round-level progress is recovered from the DFS manifests, not

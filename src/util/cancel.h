@@ -2,7 +2,7 @@
 //
 // A CancelToken is the one-way edge "this job must stop": the service
 // layer (timeouts, client aborts, drain) flips it once, and every layer
-// underneath — MR task attempts, RoundDag nodes, gated splits — polls it
+// underneath — MR task attempts, node-graph pumps, gated splits — polls it
 // at its next safe point and unwinds with StatusCode::kCancelled carrying
 // the recorded cause. Callbacks registered with OnCancel run exactly
 // once, on whichever thread flips the token (or inline when already

@@ -1,18 +1,15 @@
 // Job cancellation: a run cancelled mid-flight must stop scheduling new
 // work, surface Status::Cancelled with the cancellation cause, leave no
-// partial DFS stage outputs visible, and keep dependency bookkeeping
-// consistent (unrun RoundDag nodes stay ran == false).
+// partial DFS stage outputs visible.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gesall/pipeline.h"
-#include "gesall/round_dag.h"
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
 #include "mr/mapreduce.h"
@@ -37,66 +34,6 @@ TEST(CancelTokenTest, FirstCauseWinsAndCallbacksFireOnce) {
   // Late registration runs inline.
   token.OnCancel([&] { fired++; });
   EXPECT_EQ(fired, 2);
-}
-
-TEST(RoundDagCancelTest, PreCancelledRunsNothing) {
-  Executor executor(2);
-  RoundDag dag;
-  std::atomic<int> ran{0};
-  int a = dag.AddTask("a", [&] {
-    ran++;
-    return Status::OK();
-  });
-  int b = dag.AddTask("b", [&] {
-    ran++;
-    return Status::OK();
-  });
-  dag.AddDep(a, b);
-  auto cancel = std::make_shared<CancelToken>();
-  cancel->Cancel("cancelled before start");
-  Status s = dag.Run(&executor, cancel);
-  EXPECT_TRUE(s.IsCancelled()) << s.ToString();
-  EXPECT_NE(s.ToString().find("cancelled before start"), std::string::npos);
-  EXPECT_EQ(ran.load(), 0);
-  for (const auto& node : dag.nodes()) EXPECT_FALSE(node.ran);
-}
-
-TEST(RoundDagCancelTest, MidRunCancelSkipsDependents) {
-  Executor executor(2);
-  RoundDag dag;
-  auto cancel = std::make_shared<CancelToken>();
-  std::atomic<int> downstream_ran{0};
-  // The first node cancels the run from inside its own body; its
-  // dependent must never start, and the run must report the cause.
-  int head = dag.AddTask("head", [&] {
-    cancel->Cancel("operator abort");
-    return Status::OK();
-  });
-  int tail = dag.AddTask("tail", [&] {
-    downstream_ran++;
-    return Status::OK();
-  });
-  dag.AddDep(head, tail);
-  Status s = dag.Run(&executor, cancel);
-  EXPECT_TRUE(s.IsCancelled()) << s.ToString();
-  EXPECT_NE(s.ToString().find("operator abort"), std::string::npos);
-  EXPECT_EQ(downstream_ran.load(), 0);
-  EXPECT_TRUE(dag.nodes()[head].ran);
-  EXPECT_FALSE(dag.nodes()[tail].ran);
-}
-
-TEST(RoundDagCancelTest, NodeErrorBeatsLaterCancel) {
-  Executor executor(1);
-  RoundDag dag;
-  auto cancel = std::make_shared<CancelToken>();
-  dag.AddTask("boom", [&] {
-    Status failure = Status::IOError("disk on fire");
-    cancel->Cancel("too late");
-    return failure;
-  });
-  Status s = dag.Run(&executor, cancel);
-  // The node failure latched first; cancellation must not mask it.
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
 }
 
 // A mapper that flips the shared token while the job is in flight: every

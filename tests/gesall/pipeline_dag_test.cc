@@ -3,24 +3,21 @@
 // work-stealing executor) must be invisible in every output — stage part
 // bytes in DFS, variant calls, and per-record round counters are
 // byte-identical to the barriered engine — and visible only in the
-// execution-engine telemetry. Also covers the RoundDag scheduler itself
-// and determinism of chaos recovery mid-overlap.
+// execution-engine telemetry. Also covers determinism of chaos recovery
+// mid-overlap.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "gesall/pipeline.h"
 #include "gesall/report.h"
-#include "gesall/round_dag.h"
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
-#include "util/executor.h"
 #include "util/fault_injection.h"
 
 namespace gesall {
@@ -268,8 +265,6 @@ TEST_F(PipelineDagTest, ExecutionSummaryDescribesEachMode) {
   EXPECT_GT(pipelined.tasks_executed, 0);
   EXPECT_GT(pipelined.wall_seconds, 0.0);
   EXPECT_FALSE(pipelined.rounds.empty());
-  EXPECT_FALSE(pipelined.critical_path.empty());
-  EXPECT_GT(pipelined.critical_path_seconds, 0.0);
   // Serialized time sums the round spans; with overlap it can only be
   // >= the observed wall clock.
   EXPECT_GE(pipelined.serialized_round_seconds,
@@ -298,85 +293,6 @@ TEST_F(PipelineDagTest, ReportRendersExecutionEngineSection) {
   EXPECT_NE(md.find("## Execution engine"), std::string::npos);
   EXPECT_NE(md.find("pipelined (per-partition overlap)"),
             std::string::npos);
-  EXPECT_NE(md.find("critical path"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// RoundDag scheduler unit tests.
-
-TEST(RoundDagTest, RunsTasksInDependencyOrder) {
-  Executor executor(2);
-  RoundDag dag;
-  std::mutex mu;
-  std::vector<std::string> order;
-  auto record = [&](const std::string& name) {
-    return [&, name]() {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(name);
-      return Status::OK();
-    };
-  };
-  int a = dag.AddTask("a", record("a"));
-  int b = dag.AddTask("b", record("b"));
-  int c = dag.AddTask("c", record("c"));
-  int d = dag.AddTask("d", record("d"));
-  dag.AddDep(a, b);
-  dag.AddDep(a, c);
-  dag.AddDep(b, d);
-  dag.AddDep(c, d);
-  ASSERT_TRUE(dag.Run(&executor).ok());
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), "a");
-  EXPECT_EQ(order.back(), "d");
-}
-
-TEST(RoundDagTest, ErrorSkipsDependentsAndPropagates) {
-  Executor executor(1);
-  RoundDag dag;
-  bool downstream_ran = false;
-  int a = dag.AddTask(
-      "a", []() { return Status::IOError("round a exploded"); });
-  int b = dag.AddTask("b", [&]() {
-    downstream_ran = true;
-    return Status::OK();
-  });
-  dag.AddDep(a, b);
-  Status status = dag.Run(&executor);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("round a exploded"), std::string::npos);
-  EXPECT_FALSE(downstream_ran);
-}
-
-TEST(RoundDagTest, CycleIsRejected) {
-  Executor executor(1);
-  RoundDag dag;
-  int a = dag.AddTask("a", []() { return Status::OK(); });
-  int b = dag.AddTask("b", []() { return Status::OK(); });
-  dag.AddDep(a, b);
-  dag.AddDep(b, a);
-  EXPECT_FALSE(dag.Run(&executor).ok());
-}
-
-TEST(RoundDagTest, CriticalPathPicksLongestSpanChain) {
-  RoundDag dag;
-  int a = dag.AddTask("a");
-  int b = dag.AddTask("b");
-  int c = dag.AddTask("c");
-  int d = dag.AddTask("d");
-  dag.AddDep(a, b);
-  dag.AddDep(a, c);
-  dag.AddDep(b, d);
-  dag.AddDep(c, d);
-  dag.RecordSpan(a, 0.0, 1.0);
-  dag.RecordSpan(b, 1.0, 1.5);   // short branch
-  dag.RecordSpan(c, 1.0, 4.0);   // long branch
-  dag.RecordSpan(d, 4.0, 5.0);
-  std::vector<std::string> path = dag.CriticalPath();
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[0], "a");
-  EXPECT_EQ(path[1], "c");
-  EXPECT_EQ(path[2], "d");
-  EXPECT_NEAR(dag.CriticalPathSeconds(), 5.0, 1e-9);
 }
 
 }  // namespace

@@ -17,6 +17,8 @@
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
 #include "service/service.h"
+#include "util/io.h"
+#include "util/wal.h"
 
 namespace gesall {
 namespace {
@@ -61,6 +63,65 @@ class ServiceRecoveryTest : public testing::Test {
     config.max_running_jobs = 1;  // deterministic job ordering
     config.durability.root_dir = root_;
     return config;
+  }
+
+  // Hand-encodes a job-log submit record (opcode 1) of MakeJob("alpha")
+  // with the given id, field by field as the on-disk format lays it out.
+  // `older_layout` adds the fields an older layout carried (a Round-1
+  // pipe flag after the read group; the bloom filter's expected items
+  // and false-positive rate after run_recalibration), at their then
+  // defaults.
+  static std::string SubmitRecord(JobId id, bool older_layout) {
+    const JobSpec spec = MakeJob("alpha");
+    const PipelineConfig& p = spec.pipeline;
+    std::string record;
+    BufferWriter w(&record);
+    w.PutU8(1);  // submit opcode
+    w.PutU64(id);
+    w.PutString(spec.tenant);
+    w.PutI64(spec.priority);
+    w.PutF64(spec.deadline_seconds);
+    w.PutF64(spec.timeout_seconds);
+    for (const auto* mate : {&spec.mate1, &spec.mate2}) {
+      w.PutU32(static_cast<uint32_t>(mate->size()));
+      for (const FastqRecord& r : *mate) {
+        w.PutString(r.name);
+        w.PutString(r.sequence);
+        w.PutString(r.quality);
+      }
+    }
+    w.PutI64(p.alignment_partitions);
+    w.PutI64(p.cleaning_reducers);
+    w.PutI64(p.markdup_reducers);
+    w.PutU8(p.markdup_use_bloom ? 1 : 0);
+    w.PutI64(p.max_parallel_tasks);
+    w.PutU8(p.use_combiners ? 1 : 0);
+    w.PutString(p.read_group.id);
+    w.PutString(p.read_group.sample);
+    w.PutString(p.read_group.library);
+    if (older_layout) w.PutU8(1);
+    w.PutU8(static_cast<uint8_t>(p.hc_partitioning));
+    w.PutI64(p.hc_segments_per_chromosome);
+    w.PutU8(static_cast<uint8_t>(p.variant_caller));
+    w.PutU8(p.run_recalibration ? 1 : 0);
+    if (older_layout) {
+      w.PutU64(100'000);
+      w.PutF64(0.01);
+    }
+    w.PutU8(p.pipelined ? 1 : 0);
+    w.PutU8(p.streaming ? 1 : 0);
+    return record;
+  }
+
+  // Journals `record` where a durable service rooted at root_ recovers
+  // its job log from.
+  void JournalRecord(const std::string& record) const {
+    JournaledStore store(root_ + "/service",
+                         DurableServiceConfig().durability);
+    auto none = [](std::string_view) { return Status::OK(); };
+    ASSERT_TRUE(store.Recover(none, none).ok());
+    ASSERT_TRUE(store.Append(record).ok());
+    ASSERT_TRUE(store.Sync().ok());
   }
 
   static JobSpec MakeJob(const std::string& tenant) {
@@ -407,6 +468,65 @@ TEST_F(ServiceRecoveryTest, DrainRestartPreservesOrderAndQuotas) {
            start_order.begin();
   };
   EXPECT_LT(pos(a1.ValueOrDie()), pos(a2.ValueOrDie()));
+}
+
+// A submit record in an older, longer layout decodes as the current one
+// only by shifting every later field (hc_segments_per_chromosome 1024,
+// streaming on) and leaving bytes over; recovery must refuse it rather
+// than requeue that job.
+TEST_F(ServiceRecoveryTest, OlderLayoutSubmitRecordFailsRecovery) {
+  JournalRecord(SubmitRecord(/*id=*/7, /*older_layout=*/true));
+  Dfs dfs(DfsOptions{});
+  GesallService service(*ref_, *index_, &dfs, DurableServiceConfig());
+  EXPECT_TRUE(service.recovery_status().IsCorruption())
+      << service.recovery_status().ToString();
+  EXPECT_EQ(service.recovery_stats().jobs_recovered, 0);
+  EXPECT_EQ(service.queue_depth(), 0);
+  EXPECT_EQ(service.running_jobs(), 0);
+}
+
+// The hand-encoded record recovers and runs to the baseline calls; the
+// same record with one byte appended fails recovery.
+TEST_F(ServiceRecoveryTest, SubmitRecordWithTrailingByteFailsRecovery) {
+  Dfs dfs(DfsOptions{});
+  {
+    JournalRecord(SubmitRecord(/*id=*/7, /*older_layout=*/false));
+    GesallService service(*ref_, *index_, &dfs, DurableServiceConfig());
+    ASSERT_TRUE(service.recovery_status().ok())
+        << service.recovery_status().ToString();
+    EXPECT_EQ(service.recovery_stats().jobs_recovered, 1);
+    auto out = service.Wait(7);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_TRUE(out.ValueOrDie().status.ok())
+        << out.ValueOrDie().status.ToString();
+    EXPECT_EQ(VariantKeys(out.ValueOrDie().variants),
+              VariantKeys(*baseline_variants_));
+  }
+  fs::remove_all(root_);
+  std::string record = SubmitRecord(/*id=*/7, /*older_layout=*/false);
+  record.push_back('\0');
+  JournalRecord(record);
+  GesallService service(*ref_, *index_, &dfs, DurableServiceConfig());
+  EXPECT_TRUE(service.recovery_status().IsCorruption())
+      << service.recovery_status().ToString();
+  EXPECT_EQ(service.recovery_stats().jobs_recovered, 0);
+  EXPECT_EQ(service.queue_depth(), 0);
+  EXPECT_EQ(service.running_jobs(), 0);
+}
+
+// An enum byte past its enum's last member fails recovery too.
+TEST_F(ServiceRecoveryTest, SubmitRecordWithOutOfRangeEnumFailsRecovery) {
+  std::string record = SubmitRecord(/*id=*/7, /*older_layout=*/false);
+  // The record ends variant_caller, run_recalibration, pipelined,
+  // streaming; VariantCaller has two members.
+  record[record.size() - 4] = 2;
+  JournalRecord(record);
+  Dfs dfs(DfsOptions{});
+  GesallService service(*ref_, *index_, &dfs, DurableServiceConfig());
+  EXPECT_TRUE(service.recovery_status().IsCorruption())
+      << service.recovery_status().ToString();
+  EXPECT_EQ(service.recovery_stats().jobs_recovered, 0);
+  EXPECT_EQ(service.queue_depth(), 0);
 }
 
 // Durability misconfiguration and unwritable roots fail loudly at

@@ -482,7 +482,7 @@ RunResult RunArena(const Workload& w, const Partitioner& partitioner,
   int64_t records = 0, bytes = 0;
   JobCounters counters;
   for (int i = 0; i < kNumRecords; ++i) {
-    int p = partitioner.PartitionView(w.keys[i], kNumPartitions);
+    int p = partitioner.Partition(w.keys[i], kNumPartitions);
     ++records;
     bytes += static_cast<int64_t>(w.keys[i].size() + w.values[i].size());
     tasks[static_cast<size_t>(i) * kNumMapTasks / kNumRecords]
@@ -544,7 +544,7 @@ RunResult RunCompressed(const Workload& w, const Partitioner& partitioner,
                        /*compress=*/true, kCompressLevel, executor);
   }
   for (int i = 0; i < kNumRecords; ++i) {
-    int p = partitioner.PartitionView(w.keys[i], kNumPartitions);
+    int p = partitioner.Partition(w.keys[i], kNumPartitions);
     tasks[static_cast<size_t>(i) * kNumMapTasks / kNumRecords]
         .Add(p, w.keys[i], w.values[i])
         .ok();
@@ -633,7 +633,7 @@ std::vector<std::string> MakeParts(const Workload& w,
                                    const Partitioner& partitioner) {
   std::vector<std::vector<int>> by_part(kNumPartitions);
   for (int i = 0; i < kNumRecords; ++i) {
-    by_part[partitioner.PartitionView(w.keys[i], kNumPartitions)]
+    by_part[partitioner.Partition(w.keys[i], kNumPartitions)]
         .push_back(i);
   }
   std::vector<std::string> parts(kNumPartitions);

@@ -185,9 +185,6 @@ FaultToleranceSummary SummarizeFaultTolerance(const JobCounters& counters,
   FaultToleranceSummary out;
   out.map_task_retries = counters.Get("map_task_retries");
   out.reduce_task_retries = counters.Get("reduce_task_retries");
-  out.speculative_launches = counters.Get("speculative_launches");
-  out.speculative_wins = counters.Get("speculative_wins");
-  out.map_splits_skipped = counters.Get("map_splits_skipped");
   if (dfs_stats != nullptr) {
     out.blocks_failed_over = dfs_stats->blocks_failed_over;
     out.replica_read_failures = dfs_stats->replica_read_failures;

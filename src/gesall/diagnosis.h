@@ -105,15 +105,11 @@ PrecisionSensitivity EvaluateAgainstTruth(
     const std::vector<PlantedVariant>& truth);
 
 /// \brief Fault-tolerance telemetry of one pipeline execution: task
-/// retries, speculative re-executions, skipped poison splits, and DFS
-/// replica failover (the Hadoop behaviors of paper §3 that make partial
-/// task failures survivable at 220 GB scale).
+/// retries and DFS replica failover (the Hadoop behaviors of paper §3
+/// that make partial task failures survivable at 220 GB scale).
 struct FaultToleranceSummary {
   int64_t map_task_retries = 0;
   int64_t reduce_task_retries = 0;
-  int64_t speculative_launches = 0;
-  int64_t speculative_wins = 0;
-  int64_t map_splits_skipped = 0;
   int64_t blocks_failed_over = 0;
   int64_t replica_read_failures = 0;
   int64_t nodes_blacklisted = 0;
@@ -121,7 +117,6 @@ struct FaultToleranceSummary {
   /// True when any recovery mechanism fired during the run.
   bool any_faults_survived() const {
     return map_task_retries > 0 || reduce_task_retries > 0 ||
-           speculative_wins > 0 || map_splits_skipped > 0 ||
            blocks_failed_over > 0;
   }
 };

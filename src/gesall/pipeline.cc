@@ -90,17 +90,6 @@ void EmitStreamCounters(MapContext* ctx, const AlignCleanStreamStats& s) {
   }
 }
 
-// Mapper factory placeholder for the fused streamed round: every split
-// carries a stream fn, so the engine never instantiates a mapper.
-// Reaching Map here means an engine regression, not bad data.
-class StreamedRoundMapper : public Mapper {
- public:
-  Status Map(const std::string&, MapContext*) override {
-    return Status::Internal(
-        "streamed round instantiated a mapper for a non-streamed split");
-  }
-};
-
 class AlignmentMapper : public Mapper {
  public:
   AlignmentMapper(const GenomeIndex* index, const PairedAlignerOptions& opt)
@@ -133,6 +122,44 @@ class AlignmentMapper : public Mapper {
  private:
   const GenomeIndex* index_;
   PairedAlignerOptions options_;
+};
+
+// Fused rounds 1+2 (streaming): pumps one FASTQ partition through the
+// bounded-queue node graph (align + clean) and emits cleaned records
+// straight into the qname shuffle, so the aligned stage never exists on
+// the DFS. Batch slicing matches AlignPairs' own boundaries, so the
+// shuffled records, and every downstream stage, are byte-identical.
+class AlignCleanMapper : public Mapper {
+ public:
+  AlignCleanMapper(const GenomeIndex* index, const PairedAlignerOptions& opt,
+                   const AlignCleanStreamOptions& stream)
+      : index_(index), options_(opt), stream_(stream) {}
+
+  Status Map(const std::string& input, MapContext* ctx) override {
+    std::vector<FastqRecord> reads;
+    {
+      CounterTimer timer(ctx, kTransformMicros);
+      GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(input));
+    }
+    AlignCleanStreamStats stats;
+    GESALL_RETURN_NOT_OK(RunAlignCleanStream(
+        *index_, options_, std::move(reads), stream_,
+        [ctx](RecordBatch* batch) {
+          CounterTimer timer(ctx, kTransformMicros);
+          for (const auto& r : batch->records) {
+            ctx->EmitView(r.qname, EncodeBamRecord(r));
+          }
+          return Status::OK();
+        },
+        &stats));
+    EmitStreamCounters(ctx, stats);
+    return Status::OK();
+  }
+
+ private:
+  const GenomeIndex* index_;
+  PairedAlignerOptions options_;
+  AlignCleanStreamOptions stream_;
 };
 
 // ---------------------------------------------------------------------
@@ -910,11 +937,23 @@ struct GesallPipeline::StageProducts {
 std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
     StageProducts* products) const {
   std::vector<Stage> stages;
-  auto input_parts = [this]() -> Result<std::vector<std::string>> {
+  // One whole-file split per FASTQ input partition, read by round 1 or
+  // by the fused rounds 1+2.
+  auto fastq_splits = [this](const Signals*)
+      -> Result<std::vector<InputSplit>> {
     std::vector<std::string> inputs = dfs_->List(input_dir_);
     if (inputs.empty()) return Status::InvalidArgument("no input partitions");
-    return inputs;
+    std::vector<InputSplit> splits;
+    Dfs* dfs = dfs_;
+    for (const auto& path : inputs) {
+      InputSplit s;
+      s.load = [dfs, path]() { return dfs->Read(path); };
+      splits.push_back(std::move(s));
+    }
+    return splits;
   };
+  const GenomeIndex* index = index_;
+  const PairedAlignerOptions opt = config_.aligner;
 
   // Round 2: AddReplaceReadGroups + CleanSam in the map, shuffle by read
   // name, FixMateInformation in the reduce. Streaming fuses round 1 into
@@ -929,76 +968,25 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
   clean.output_dir = cleaned_dir_;
   clean.output_header = header_;
   if (config_.streaming) {
-    // Each map task pumps its FASTQ partition through the bounded-queue
-    // node graph (align + clean) and emits cleaned records straight into
-    // the qname shuffle, so the aligned stage never exists on the DFS.
-    // Batch slicing matches AlignPairs' own boundaries, so the shuffled
-    // records — and every downstream stage — are byte-identical.
+    // Each map task aligns and cleans its FASTQ partition in one pass
+    // (AlignCleanMapper), sealed as round 2.
     clean.name = "round1_2_streamed";
-    clean.splits = [this, input_parts](const Signals*)
-        -> Result<std::vector<InputSplit>> {
-      GESALL_ASSIGN_OR_RETURN(std::vector<std::string> inputs, input_parts());
-      Dfs* dfs = dfs_;
-      const GenomeIndex* index = index_;
-      AlignCleanStreamOptions sopts;
-      sopts.executor = ExecutorOf(config_);
-      sopts.cancel = config_.cancel;
-      sopts.clean = true;
-      sopts.header = &header_;
-      sopts.read_group = config_.read_group;
-      const PairedAlignerOptions opt = config_.aligner;
-      std::vector<InputSplit> splits;
-      for (const auto& path : inputs) {
-        InputSplit s;
-        s.stream = [dfs, path, index, opt, sopts](MapContext* ctx) -> Status {
-          GESALL_ASSIGN_OR_RETURN(std::string text, dfs->Read(path));
-          ctx->IncrementCounter("map_input_bytes",
-                                static_cast<int64_t>(text.size()));
-          std::vector<FastqRecord> reads;
-          {
-            CounterTimer timer(ctx, kTransformMicros);
-            GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(text));
-          }
-          text.clear();
-          text.shrink_to_fit();
-          AlignCleanStreamStats sstats;
-          GESALL_RETURN_NOT_OK(RunAlignCleanStream(
-              *index, opt, std::move(reads), sopts,
-              [ctx](RecordBatch* batch) {
-                CounterTimer timer(ctx, kTransformMicros);
-                for (const auto& r : batch->records) {
-                  ctx->EmitView(r.qname, EncodeBamRecord(r));
-                }
-                return Status::OK();
-              },
-              &sstats));
-          EmitStreamCounters(ctx, sstats);
-          return Status::OK();
-        };
-        splits.push_back(std::move(s));
-      }
-      return splits;
+    clean.splits = fastq_splits;
+    AlignCleanStreamOptions stream;
+    stream.executor = ExecutorOf(config_);
+    stream.cancel = config_.cancel;
+    stream.clean = true;
+    stream.header = &header_;
+    stream.read_group = config_.read_group;
+    clean.mapper = [index, opt, stream] {
+      return std::make_unique<AlignCleanMapper>(index, opt, stream);
     };
-    clean.mapper = [] { return std::make_unique<StreamedRoundMapper>(); };
   } else {
     // Round 1: map-only alignment, one task per FASTQ partition.
     Stage align;
     align.name = "round1_alignment";
     align.round = kRoundAlignment;
-    align.splits = [this, input_parts](const Signals*)
-        -> Result<std::vector<InputSplit>> {
-      GESALL_ASSIGN_OR_RETURN(std::vector<std::string> inputs, input_parts());
-      std::vector<InputSplit> splits;
-      for (const auto& path : inputs) {
-        InputSplit s;
-        Dfs* dfs = dfs_;
-        s.load = [dfs, path]() { return dfs->Read(path); };
-        splits.push_back(std::move(s));
-      }
-      return splits;
-    };
-    const GenomeIndex* index = index_;
-    const PairedAlignerOptions opt = config_.aligner;
+    align.splits = fastq_splits;
     align.mapper = [index, opt] {
       return std::make_unique<AlignmentMapper>(index, opt);
     };

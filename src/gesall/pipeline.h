@@ -106,12 +106,11 @@ struct PipelineConfig {
   bool run_recalibration = false;
 
   /// Fault-tolerance knobs, forwarded into every round's JobConfig; the
-  /// other JobConfig retry, speculation and re-execution knobs keep
-  /// their defaults, and the node model sizes from the DFS cluster
-  /// (num_nodes = dfs->num_data_nodes()). The injector (optional; not
-  /// owned) lets chaos tests exercise the retry machinery
-  /// deterministically; it is also installed on the DFS read path for
-  /// the lifetime of the pipeline runs.
+  /// node model sizes from the DFS cluster (num_nodes =
+  /// dfs->num_data_nodes()). The injector (optional; not owned) lets
+  /// chaos tests exercise the retry machinery deterministically; it is
+  /// also installed on the DFS read path for the lifetime of the
+  /// pipeline runs.
   FaultInjector* fault_injector = nullptr;
   int max_task_attempts = 2;
 
@@ -126,13 +125,13 @@ struct PipelineConfig {
   /// Fuse rounds 1+2 into one streamed job: every map task pumps its
   /// FASTQ partition through the bounded-queue node graph of
   /// pipeline_node.h (FastqSource -> Align -> Clean -> shuffle emit), so
-  /// the aligned stage is never materialized on the DFS and the map-side
-  /// memory high-water mark is O(queue capacity * batch) instead of
-  /// O(partition). Outputs, variant calls, and per-record counters are
-  /// byte-identical to the barriered rounds 1+2 (batch boundaries match
-  /// AlignPairs' own). It seals round 2 (kRoundCleaning) as
-  /// "round1_2_streamed"; round 1 has no manifest. Without `pipelined`
-  /// it runs on barrier edges.
+  /// the aligned stage is never materialized on the DFS. The FASTQ text
+  /// and the parsed reads are O(partition); the aligned and cleaned
+  /// batches in flight are O(queue capacity * batch). Outputs, variant
+  /// calls, and per-record counters are byte-identical to the barriered
+  /// rounds 1+2 (batch boundaries match AlignPairs' own). It seals
+  /// round 2 (kRoundCleaning) as "round1_2_streamed"; round 1 has no
+  /// manifest. Without `pipelined` it runs on barrier edges.
   bool streaming = false;
   /// Executor every round's tasks run on (not owned). Null selects the
   /// process-wide Executor::Shared().
@@ -229,7 +228,7 @@ class GesallPipeline {
   const SamHeader& header() const { return header_; }
   Dfs* dfs() { return dfs_; }
 
-  /// Aggregates the retry/speculation counters of every executed round
+  /// Aggregates the task-retry counters of every executed round
   /// plus the DFS failover stats into one FaultToleranceSummary, ready
   /// for GenerateDiagnosisReport.
   FaultToleranceSummary SummarizeFaultTolerance() const;

@@ -99,11 +99,6 @@ Result<DiagnosisReport> GenerateDiagnosisReport(
     Append(&md, "- map task retries: %lld, reduce task retries: %lld\n",
            static_cast<long long>(ft.map_task_retries),
            static_cast<long long>(ft.reduce_task_retries));
-    Append(&md, "- speculative re-executions: %lld launched, %lld won\n",
-           static_cast<long long>(ft.speculative_launches),
-           static_cast<long long>(ft.speculative_wins));
-    Append(&md, "- poison splits skipped: %lld\n",
-           static_cast<long long>(ft.map_splits_skipped));
     Append(&md, "- DFS replica failures: %lld (blocks failed over: %lld, "
                 "nodes blacklisted: %lld)\n",
            static_cast<long long>(ft.replica_read_failures),

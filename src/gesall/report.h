@@ -26,7 +26,7 @@ struct DiagnosisReportInputs {
   /// Optional planted-truth set for GiaB-style scoring.
   const std::vector<PlantedVariant>* truth = nullptr;
   /// Optional fault-tolerance telemetry of the parallel run (retries,
-  /// speculation, DFS failover) — rendered as its own report section so
+  /// DFS failover) — rendered as its own report section so
   /// a reviewer sees which recoveries the accepted output survived.
   const FaultToleranceSummary* fault_tolerance = nullptr;
   /// Optional integrity/node-failure telemetry (checksum detections,

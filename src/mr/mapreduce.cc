@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <queue>
 #include <thread>
 
 #include "mr/shuffle_buffer.h"
@@ -15,15 +14,15 @@
 
 namespace gesall {
 
-int HashPartitioner::PartitionView(std::string_view key,
-                                   int num_partitions) const {
+int HashPartitioner::Partition(std::string_view key,
+                               int num_partitions) const {
   if (num_partitions <= 1) return 0;  // <= 0 would be UB in the modulo
   return static_cast<int>(Fnv1a64(key) %
                           static_cast<uint64_t>(num_partitions));
 }
 
-int RangePartitioner::PartitionView(std::string_view key,
-                                    int num_partitions) const {
+int RangePartitioner::Partition(std::string_view key,
+                                int num_partitions) const {
   if (num_partitions <= 1) return 0;
   auto it = std::upper_bound(
       boundaries_.begin(), boundaries_.end(), key,
@@ -51,23 +50,8 @@ Status ValidateJobConfig(const JobConfig& c, bool needs_reducers) {
   if (c.max_task_attempts < 1) {
     return Status::InvalidArgument("max_task_attempts must be >= 1");
   }
-  if (c.retry_base_ms < 0 || c.retry_max_backoff_ms < 0) {
-    return Status::InvalidArgument("retry backoff must be non-negative");
-  }
-  if (c.speculative_slow_task_ms < 0) {
-    return Status::InvalidArgument(
-        "speculative_slow_task_ms must be non-negative");
-  }
-  if (c.speculative_win_margin_ms < 0) {
-    return Status::InvalidArgument(
-        "speculative_win_margin_ms must be non-negative");
-  }
   if (c.num_nodes < 0) {
     return Status::InvalidArgument("num_nodes must be non-negative");
-  }
-  if (c.max_map_reexecutions < 0) {
-    return Status::InvalidArgument(
-        "max_map_reexecutions must be non-negative");
   }
   if (c.shuffle_compress_level < -1 || c.shuffle_compress_level > 9) {
     return Status::InvalidArgument(
@@ -76,23 +60,15 @@ Status ValidateJobConfig(const JobConfig& c, bool needs_reducers) {
   return Status::OK();
 }
 
-// Per-map-task output: the frozen arena shuffle (at most one sorted run
-// per partition after Finish) plus bookkeeping.
+// Per-map-task output plus bookkeeping. A full job's emits land in the
+// frozen arena shuffle (at most one sorted run per partition after
+// Finish); a map-only job's land in `values`, in emission order.
 struct MapTaskOutput {
   std::unique_ptr<ShuffleBuffer> shuffle;
-  JobCounters counters;
-  TaskRecord record;
-  Status status;
-  bool skipped = false;
-};
-
-// Per-map-task output of a map-only job: emitted values in order.
-struct MapOnlyTaskOutput {
   std::vector<std::string> values;
   JobCounters counters;
   TaskRecord record;
   Status status;
-  bool skipped = false;
 };
 
 // Per-reduce-task output.
@@ -103,90 +79,37 @@ struct ReduceTaskOutput {
   Status status;
 };
 
-// Per-task bookkeeping of the retry/speculation machinery, kept separate
-// from attempt counters so a discarded attempt leaves no counter residue.
-struct AttemptStats {
-  int retries = 0;
-  bool speculative_launched = false;
-  bool speculative_won = false;
-};
-
-// Runs one task through Hadoop-style attempt semantics: retry failed
-// attempts with capped exponential backoff up to max_task_attempts, then
-// optionally re-execute a slow successful attempt once, keeping whichever
-// finished first (speculative execution). `run_attempt(attempt, out)`
-// must fully populate a default-constructed *out, including out->status
-// and the record timestamps; each attempt starts from fresh state so a
-// failed attempt's partial output is discarded. Deterministic: attempt
-// numbering and the duration-based speculation verdict do not depend on
-// thread interleaving when task durations are injection-dominated.
+// Runs one task through Hadoop-style attempt semantics: a failed attempt
+// is retried up to max_task_attempts. `run_attempt(attempt, out)` must
+// fully populate a default-constructed *out, including out->status and
+// the record timestamps; each attempt starts from fresh state so a
+// failed attempt's partial output (and counters) is discarded. Returns
+// the number of retries taken.
 template <typename TaskOut, typename Fn>
-void RunTaskAttempts(const JobConfig& cfg, const Fn& run_attempt,
-                     TaskOut* out, AttemptStats* stats) {
+int RunTaskAttempts(const JobConfig& cfg, const Fn& run_attempt,
+                    TaskOut* out) {
   for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      ++stats->retries;
-      if (cfg.retry_base_ms > 0) {
-        int shift = std::min(attempt - 1, 20);
-        int64_t delay =
-            std::min<int64_t>(cfg.retry_max_backoff_ms,
-                              static_cast<int64_t>(cfg.retry_base_ms)
-                                  << shift);
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      }
-    }
-    TaskOut attempt_out{};
-    run_attempt(attempt, &attempt_out);
-    if (attempt_out.status.IsCancelled()) {
-      // Cancellation is terminal, not a fault: retrying or launching a
-      // speculative backup would just re-observe the flipped token.
-      *out = std::move(attempt_out);
-      return;
-    }
-    if (attempt_out.status.ok()) {
-      double seconds = attempt_out.record.end_seconds -
-                       attempt_out.record.start_seconds;
-      if (cfg.speculative_execution &&
-          seconds * 1000.0 >= cfg.speculative_slow_task_ms) {
-        // Straggler: launch one backup attempt (numbered past the retry
-        // range so scheduled/latency faults aimed at regular attempts
-        // miss it) and keep whichever finished first. Tie-break: the
-        // backup must beat the original by MORE than the configured win
-        // margin; otherwise the original deterministically wins. The
-        // margin caps the measured-duration comparison so two attempts
-        // with identical injected latency (which differ only by
-        // scheduler jitter) cannot nondeterministically flip speculative
-        // bookkeeping.
-        stats->speculative_launched = true;
-        TaskOut backup{};
-        run_attempt(cfg.max_task_attempts + attempt, &backup);
-        double backup_seconds =
-            backup.record.end_seconds - backup.record.start_seconds;
-        if (backup.status.ok() &&
-            (seconds - backup_seconds) * 1000.0 >
-                cfg.speculative_win_margin_ms) {
-          backup.record.speculative = true;
-          stats->speculative_won = true;
-          *out = std::move(backup);
-          return;
-        }
-      }
-      *out = std::move(attempt_out);
-      return;
-    }
-    if (attempt + 1 >= cfg.max_task_attempts) {
-      *out = std::move(attempt_out);
-      return;
+    *out = TaskOut{};
+    run_attempt(attempt, out);
+    // Cancellation is terminal, not a fault: a retry would just
+    // re-observe the flipped token.
+    if (out->status.ok() || out->status.IsCancelled() ||
+        attempt + 1 >= cfg.max_task_attempts) {
+      return attempt;
     }
   }
 }
 
 class MapContextImpl : public MapContext {
  public:
+  // A null partitioner makes a map-only task's context: emits keep their
+  // values in order and drop their keys. Otherwise emits enter the
+  // task's shuffle.
   MapContextImpl(const Partitioner* partitioner, const JobConfig& cfg,
                  Combiner* combiner, Executor* executor, MapTaskOutput* out)
       : partitioner_(partitioner), num_partitions_(cfg.num_reducers),
         out_(out) {
+    if (partitioner_ == nullptr) return;
     out_->shuffle = std::make_unique<ShuffleBuffer>(
         cfg.num_reducers, cfg.sort_buffer_bytes, combiner,
         cfg.checksum_shuffle, cfg.compress_shuffle,
@@ -195,12 +118,20 @@ class MapContextImpl : public MapContext {
   }
 
   void Emit(std::string key, std::string value) override {
+    if (partitioner_ == nullptr) {
+      Keep(std::move(value));
+      return;
+    }
     EmitView(key, value);
   }
 
   void EmitView(std::string_view key, std::string_view value) override {
+    if (partitioner_ == nullptr) {
+      Keep(std::string(value));
+      return;
+    }
     if (!emit_status_.ok()) return;  // combiner already failed; drop
-    int p = partitioner_->PartitionView(key, num_partitions_);
+    int p = partitioner_->Partition(key, num_partitions_);
     ++records_;
     bytes_ += static_cast<int64_t>(key.size() + value.size());
     emit_status_ = out_->shuffle->Add(p, key, value);
@@ -224,6 +155,10 @@ class MapContextImpl : public MapContext {
   // Final spill + map-side merge (the Fig. 5(b) overhead), then counter
   // flush. Propagates deferred combiner failures.
   Status FinishTask() {
+    if (partitioner_ == nullptr) {
+      FlushCounters();
+      return Status::OK();
+    }
     GESALL_RETURN_NOT_OK(emit_status_);
     GESALL_RETURN_NOT_OK(out_->shuffle->Finish());
     FlushCounters();
@@ -253,6 +188,13 @@ class MapContextImpl : public MapContext {
   }
 
  private:
+  // Map-only emit: the value is kept, its bytes counted alone.
+  void Keep(std::string value) {
+    ++records_;
+    bytes_ += static_cast<int64_t>(value.size());
+    out_->values.push_back(std::move(value));
+  }
+
   const Partitioner* partitioner_;
   int num_partitions_;
   MapTaskOutput* out_;
@@ -290,42 +232,6 @@ class ReduceContextImpl : public ReduceContext {
   int64_t bytes_ = 0;
 };
 
-// Map-only contexts collect values directly (keys ignored).
-class MapOnlyContext : public MapContext {
- public:
-  MapOnlyContext(std::vector<std::string>* values, JobCounters* counters)
-      : values_(values), counters_(counters) {}
-  void Emit(std::string key, std::string value) override {
-    (void)key;
-    ++records_;
-    bytes_ += static_cast<int64_t>(value.size());
-    values_->push_back(std::move(value));
-  }
-  void EmitView(std::string_view key, std::string_view value) override {
-    (void)key;
-    ++records_;
-    bytes_ += static_cast<int64_t>(value.size());
-    values_->emplace_back(value);
-  }
-  void IncrementCounter(const std::string& name, int64_t delta) override {
-    counters_->Add(name, delta);
-  }
-  void FlushCounters() {
-    if (records_ > 0) {
-      counters_->Add("map_output_records", records_);
-      counters_->Add("map_output_bytes", bytes_);
-    }
-    records_ = 0;
-    bytes_ = 0;
-  }
-
- private:
-  std::vector<std::string>* values_;
-  JobCounters* counters_;
-  int64_t records_ = 0;
-  int64_t bytes_ = 0;
-};
-
 // Shared prologue of one map attempt: injected straggler latency, then
 // the split.load fault point, then the real split load, then the
 // mr.map_attempt fault point. Returns the split bytes on success.
@@ -345,53 +251,6 @@ Result<std::string> LoadSplitAttempt(const InputSplit& split, int index,
                                              attempt));
   }
   return input;
-}
-
-// Fault-injection points for a streamed split, bracketing the stream
-// call the way LoadSplitAttempt brackets split.load(): the split-load
-// point (plus injected latency) fires before the stream starts, the
-// map-attempt point after it returns, so chaos tests exercise streamed
-// map tasks through the same retry machinery as loaded ones.
-Status PreStreamFaults(int index, int attempt, FaultInjector* injector) {
-  if (injector == nullptr) return Status::OK();
-  int latency = injector->LatencyMs(kFaultMapAttempt, index, attempt);
-  if (latency > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(latency));
-  }
-  return injector->MaybeFail(kFaultSplitLoad, index, attempt);
-}
-
-Status PostStreamFaults(int index, int attempt, FaultInjector* injector) {
-  if (injector == nullptr) return Status::OK();
-  return injector->MaybeFail(kFaultMapAttempt, index, attempt);
-}
-
-// Folds per-task attempt bookkeeping into the task's own counters and
-// applies skip-bad-records isolation to a map task that exhausted its
-// attempts. TaskOut is one of the map-side outputs.
-template <typename TaskOut>
-void FinalizeMapTask(const JobConfig& cfg, const AttemptStats& stats,
-                     TaskOut* out) {
-  // A cancelled task is not a poison split: isolating it would let the
-  // job "succeed" with a silently truncated output instead of failing
-  // fast with the cancellation cause.
-  if (!out->status.ok() && cfg.skip_bad_records &&
-      !out->status.IsCancelled()) {
-    // Poison split: drop the failed attempt's partial output and
-    // counters so job-level counter invariants still hold.
-    TaskRecord record = out->record;
-    *out = TaskOut{};
-    out->record = record;
-    out->skipped = true;
-  }
-  if (stats.retries > 0) {
-    out->counters.Add("map_task_retries", stats.retries);
-  }
-  if (stats.speculative_launched) {
-    out->counters.Add("speculative_launches", 1);
-  }
-  if (stats.speculative_won) out->counters.Add("speculative_wins", 1);
-  if (out->skipped) out->counters.Add("map_splits_skipped", 1);
 }
 
 }  // namespace
@@ -418,7 +277,6 @@ struct JobState {
 
   std::vector<int> node_of;
   std::vector<MapTaskOutput> map_outputs;
-  std::vector<MapOnlyTaskOutput> map_only_outputs;
   std::vector<ReduceTaskOutput> reduce_outputs;
   std::atomic<int> maps_remaining{0};
   std::atomic<int> reduces_remaining{0};
@@ -445,142 +303,59 @@ void FinishJob(const std::shared_ptr<JobState>& s, Status st) {
   s->cv.notify_all();
 }
 
-// One full map task of a full (map+reduce) job: all attempts plus
-// finalization into *slot. Reused verbatim by the master's lost-output
-// re-execution, so a re-executed task goes through the same
-// retry/speculation/skip machinery.
-void ExecuteMapFull(JobState* s, size_t i, MapTaskOutput* slot) {
+// Map task i: all attempts, into its output slot. Reused verbatim by the
+// master's lost-output re-execution, so a re-executed task goes through
+// the same retry machinery.
+void ExecuteMap(JobState* s, size_t i) {
   const JobConfig& cfg = s->config;
   auto run_attempt = [&](int attempt, MapTaskOutput* out) {
     out->record.type = TaskRecord::Type::kMap;
     out->record.index = static_cast<int>(i);
     out->record.attempt = attempt;
     out->record.start_seconds = s->job_clock.ElapsedSeconds();
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      out->status = cfg.cancel->status();
-      out->record.end_seconds = s->job_clock.ElapsedSeconds();
-      return;
-    }
-    if (s->splits[i].stream) {
-      // Streamed split: the stream drives emits through the context
-      // itself; no whole-split string ever materializes.
-      Status st =
-          PreStreamFaults(static_cast<int>(i), attempt, cfg.fault_injector);
-      if (st.ok()) {
-        std::unique_ptr<Combiner> combiner;
-        if (cfg.combiner_factory) combiner = cfg.combiner_factory();
-        MapContextImpl ctx(s->partitioner, cfg, combiner.get(), s->executor,
-                           out);
-        out->status = s->splits[i].stream(&ctx);
-        if (out->status.ok()) {
-          out->status = PostStreamFaults(static_cast<int>(i), attempt,
-                                         cfg.fault_injector);
-        }
-        if (out->status.ok()) {
-          out->status = ctx.FinishTask();
-        } else {
-          ctx.FlushCounters();
-        }
-        out->record.input_bytes = out->counters.Get("map_input_bytes");
-        out->record.output_bytes = out->counters.Get("map_output_bytes");
-      } else {
-        out->status = st;
+    out->status = [&]() -> Status {
+      if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
+        return cfg.cancel->status();
       }
-      out->record.end_seconds = s->job_clock.ElapsedSeconds();
-      return;
-    }
-    auto input = LoadSplitAttempt(s->splits[i], static_cast<int>(i),
-                                  attempt, cfg.fault_injector);
-    if (input.ok()) {
+      GESALL_ASSIGN_OR_RETURN(
+          std::string input,
+          LoadSplitAttempt(s->splits[i], static_cast<int>(i), attempt,
+                           cfg.fault_injector));
+      out->record.input_bytes = static_cast<int64_t>(input.size());
       // Each attempt gets a fresh combiner instance so stateful
       // combiners cannot leak state across attempts.
       std::unique_ptr<Combiner> combiner;
-      if (cfg.combiner_factory) combiner = cfg.combiner_factory();
-      MapContextImpl ctx(s->partitioner, cfg, combiner.get(), s->executor,
-                         out);
-      auto mapper = s->mapper_factory();
-      out->status = mapper->Map(input.ValueOrDie(), &ctx);
-      if (out->status.ok()) {
-        out->status = ctx.FinishTask();
-      } else {
-        ctx.FlushCounters();
+      if (!s->map_only && cfg.combiner_factory) {
+        combiner = cfg.combiner_factory();
       }
-      out->record.input_bytes =
-          static_cast<int64_t>(input.ValueOrDie().size());
-      out->record.output_bytes = out->counters.Get("map_output_bytes");
-    } else {
-      out->status = input.status();
-    }
-    out->record.end_seconds = s->job_clock.ElapsedSeconds();
-  };
-  AttemptStats stats;
-  RunTaskAttempts(cfg, run_attempt, slot, &stats);
-  FinalizeMapTask(cfg, stats, slot);
-  slot->record.node = s->node_of[i];
-}
-
-void ExecuteMapOnly(JobState* s, size_t i, MapOnlyTaskOutput* slot) {
-  const JobConfig& cfg = s->config;
-  auto run_attempt = [&](int attempt, MapOnlyTaskOutput* out) {
-    out->record.type = TaskRecord::Type::kMap;
-    out->record.index = static_cast<int>(i);
-    out->record.attempt = attempt;
-    out->record.start_seconds = s->job_clock.ElapsedSeconds();
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      out->status = cfg.cancel->status();
-      out->record.end_seconds = s->job_clock.ElapsedSeconds();
-      return;
-    }
-    if (s->splits[i].stream) {
-      Status st =
-          PreStreamFaults(static_cast<int>(i), attempt, cfg.fault_injector);
+      MapContextImpl ctx(s->map_only ? nullptr : s->partitioner, cfg,
+                         combiner.get(), s->executor, out);
+      auto mapper = s->mapper_factory();
+      Status st = mapper->Map(input, &ctx);
       if (st.ok()) {
-        MapOnlyContext ctx(&out->values, &out->counters);
-        out->status = s->splits[i].stream(&ctx);
-        if (out->status.ok()) {
-          out->status = PostStreamFaults(static_cast<int>(i), attempt,
-                                         cfg.fault_injector);
-        }
-        ctx.FlushCounters();
-        out->record.input_bytes = out->counters.Get("map_input_bytes");
-        out->record.output_bytes = out->counters.Get("map_output_bytes");
+        st = ctx.FinishTask();
       } else {
-        out->status = st;
+        ctx.FlushCounters();
       }
-      out->record.end_seconds = s->job_clock.ElapsedSeconds();
-      return;
-    }
-    auto input = LoadSplitAttempt(s->splits[i], static_cast<int>(i),
-                                  attempt, cfg.fault_injector);
-    if (input.ok()) {
-      MapOnlyContext ctx(&out->values, &out->counters);
-      auto mapper = s->mapper_factory();
-      out->status = mapper->Map(input.ValueOrDie(), &ctx);
-      ctx.FlushCounters();
-      out->record.input_bytes =
-          static_cast<int64_t>(input.ValueOrDie().size());
       out->record.output_bytes = out->counters.Get("map_output_bytes");
-    } else {
-      out->status = input.status();
-    }
+      return st;
+    }();
     out->record.end_seconds = s->job_clock.ElapsedSeconds();
   };
-  AttemptStats stats;
-  RunTaskAttempts(cfg, run_attempt, slot, &stats);
-  FinalizeMapTask(cfg, stats, slot);
+  MapTaskOutput& slot = s->map_outputs[i];
+  const int retries = RunTaskAttempts(cfg, run_attempt, &slot);
+  if (retries > 0) slot.counters.Add("map_task_retries", retries);
+  slot.record.node = s->node_of[i];
 }
 
 void FinalizeMapOnlyJob(const std::shared_ptr<JobState>& s) {
   JobResult result;
   result.reducer_outputs.resize(s->splits.size());
   for (size_t i = 0; i < s->splits.size(); ++i) {
-    MapOnlyTaskOutput& out = s->map_only_outputs[i];
+    MapTaskOutput& out = s->map_outputs[i];
     if (!out.status.ok()) {
       FinishJob(s, out.status);
       return;
-    }
-    if (out.skipped) {
-      result.skipped_splits.push_back(static_cast<int>(i));
     }
     result.counters.Merge(out.counters);
     result.tasks.push_back(out.record);
@@ -605,7 +380,7 @@ void FinalizeFullJob(const std::shared_ptr<JobState>& s);
 // a shuffle run's CRC32C no longer verifies. Lost outputs re-execute
 // their COMPLETED map task on the next live node; each epoch re-fetches
 // only the re-executed outputs, and a task lost more than
-// max_map_reexecutions times fails the job. Runs at kHigh priority —
+// kMaxMapReexecutions times fails the job. Runs at kHigh priority —
 // recovery unblocks reduces, so it overtakes queued regular work — and
 // re-executed maps bypass the admission throttle for the same reason.
 void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
@@ -633,7 +408,7 @@ void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
       std::vector<size_t> lost;
       for (size_t i : fetch_pending) {
         MapTaskOutput& out = outputs[i];
-        if (!out.status.ok() || out.skipped || out.shuffle == nullptr) {
+        if (!out.status.ok()) {
           continue;  // nothing fetchable; the status merge handles it
         }
         if (num_nodes > 0 && dead[s->node_of[i]]) {
@@ -665,13 +440,12 @@ void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
       }
       if (lost.empty()) break;
       for (size_t i : lost) {
-        if (++reexecutions[i] > cfg.max_map_reexecutions) {
+        if (++reexecutions[i] > kMaxMapReexecutions) {
           FinishJob(s, Status::IOError(
                            "map output " + std::to_string(i) + " lost " +
                            std::to_string(reexecutions[i]) +
-                           " times, exceeding max_map_reexecutions (" +
-                           std::to_string(cfg.max_map_reexecutions) +
-                           ")"));
+                           " times, exceeding kMaxMapReexecutions (" +
+                           std::to_string(kMaxMapReexecutions) + ")"));
           return;
         }
         if (num_nodes > 0) {
@@ -692,7 +466,6 @@ void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
           }
           s->node_of[i] = moved;
         }
-        outputs[i] = MapTaskOutput{};  // no counter/record residue
       }
       {
         // TaskGroup, not the throttle: the helping Wait() keeps the
@@ -701,8 +474,7 @@ void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
         TaskGroup group(s->executor, Executor::Priority::kHigh);
         JobState* raw = s.get();
         for (size_t i : lost) {
-          group.Submit(
-              [raw, i] { ExecuteMapFull(raw, i, &raw->map_outputs[i]); });
+          group.Submit([raw, i] { ExecuteMap(raw, i); });
         }
         group.Wait();
       }
@@ -720,7 +492,6 @@ void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
       FinishJob(s, out.status);
       return;
     }
-    if (out.skipped) result.skipped_splits.push_back(out.record.index);
     result.counters.Merge(out.counters);
     result.tasks.push_back(out.record);
   }
@@ -783,7 +554,6 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
     std::vector<ShuffleRunReader*> reader_ptrs;
     int64_t shuffle_bytes = 0, shuffle_records = 0, compressed_bytes = 0;
     for (const auto& map_out : s->map_outputs) {
-      if (map_out.shuffle == nullptr) continue;  // skipped split
       if (r >= map_out.shuffle->num_partitions()) continue;
       if (map_out.shuffle->compressed()) {
         for (const auto& crun : map_out.shuffle->compressed_runs(r)) {
@@ -888,15 +658,8 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
     out->record.output_bytes = out->counters.Get("reduce_output_bytes");
   };
   ReduceTaskOutput& slot = s->reduce_outputs[static_cast<size_t>(r)];
-  AttemptStats stats;
-  RunTaskAttempts(cfg, run_attempt, &slot, &stats);
-  if (stats.retries > 0) {
-    slot.counters.Add("reduce_task_retries", stats.retries);
-  }
-  if (stats.speculative_launched) {
-    slot.counters.Add("speculative_launches", 1);
-  }
-  if (stats.speculative_won) slot.counters.Add("speculative_wins", 1);
+  const int retries = RunTaskAttempts(cfg, run_attempt, &slot);
+  if (retries > 0) slot.counters.Add("reduce_task_retries", retries);
   if (slot.status.ok() && cfg.on_partition_output) {
     // Per-partition readiness edge: downstream rounds may start on this
     // partition now, while sibling reduces are still running. The task
@@ -943,11 +706,7 @@ void SubmitMaps(const std::shared_ptr<JobState>& s) {
   const size_t n = s->splits.size();
   for (size_t i = 0; i < n; ++i) {
     std::function<void()> task = [s, i] {
-      if (s->map_only) {
-        ExecuteMapOnly(s.get(), i, &s->map_only_outputs[i]);
-      } else {
-        ExecuteMapFull(s.get(), i, &s->map_outputs[i]);
-      }
+      ExecuteMap(s.get(), i);
       if (s->maps_remaining.fetch_sub(1, std::memory_order_acq_rel) ==
           1) {
         s->executor->Submit(
@@ -1021,11 +780,7 @@ std::shared_ptr<JobState> StartJob(const JobConfig& config,
   } else {
     s->node_of.assign(n, -1);
   }
-  if (map_only) {
-    s->map_only_outputs.resize(n);
-  } else {
-    s->map_outputs.resize(n);
-  }
+  s->map_outputs.resize(n);
   s->maps_remaining.store(static_cast<int>(n),
                           std::memory_order_release);
   if (n == 0) {

@@ -13,14 +13,15 @@
 // arenas. An optional JobConfig::combiner_factory arms a Hadoop-style
 // map-side combiner over every sorted spill run.
 //
+// Every map task, of a full or a map-only job, runs one path: load the
+// split, run the mapper over it, and route each emit. A full job's emits
+// enter the shuffle; a map-only job's tasks keep their values.
+//
 // Fault tolerance mirrors Hadoop's task-attempt model: a failed task
 // attempt (split load error, mapper/reducer error, or injected fault) is
-// retried up to JobConfig::max_task_attempts times with capped
-// exponential backoff; straggler attempts can be speculatively
-// re-executed with first-success-wins resolution; and a poison split can
-// be skipped after exhausted retries (mapreduce.map.skip analog) instead
-// of failing the job. Wire a seeded FaultInjector into
-// JobConfig::fault_injector to exercise these paths reproducibly.
+// retried from fresh state up to JobConfig::max_task_attempts times, and
+// a task that exhausts them fails the job. Wire a seeded FaultInjector
+// into JobConfig::fault_injector to exercise these paths reproducibly.
 //
 // Whole-node failure follows Hadoop's lost-map-output semantics: with
 // JobConfig::num_nodes set, every map task runs on a simulated node, and
@@ -28,7 +29,7 @@
 // point. Map outputs on a dead node — or outputs whose shuffle-run
 // CRC32C no longer verifies, or fetches failed by "mr.shuffle_fetch" —
 // are lost, so their COMPLETED map tasks are re-executed on a live node,
-// bounded by JobConfig::max_map_reexecutions per task.
+// at most kMaxMapReexecutions times per task.
 
 #ifndef GESALL_MR_MAPREDUCE_H_
 #define GESALL_MR_MAPREDUCE_H_
@@ -130,22 +131,13 @@ class Reducer {
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
-  virtual int Partition(const std::string& key,
-                        int num_partitions) const = 0;
-  /// Zero-copy variant used by the engine's emit path. Default bridges
-  /// to Partition() for custom partitioners.
-  virtual int PartitionView(std::string_view key, int num_partitions) const {
-    return Partition(std::string(key), num_partitions);
-  }
+  virtual int Partition(std::string_view key, int num_partitions) const = 0;
 };
 
 /// \brief Default: stable hash of the key bytes.
 class HashPartitioner : public Partitioner {
  public:
-  int Partition(const std::string& key, int num_partitions) const override {
-    return PartitionView(key, num_partitions);
-  }
-  int PartitionView(std::string_view key, int num_partitions) const override;
+  int Partition(std::string_view key, int num_partitions) const override;
 };
 
 /// \brief Range partitioner over sorted split points: keys below
@@ -154,10 +146,7 @@ class RangePartitioner : public Partitioner {
  public:
   explicit RangePartitioner(std::vector<std::string> boundaries)
       : boundaries_(std::move(boundaries)) {}
-  int Partition(const std::string& key, int num_partitions) const override {
-    return PartitionView(key, num_partitions);
-  }
-  int PartitionView(std::string_view key, int num_partitions) const override;
+  int Partition(std::string_view key, int num_partitions) const override;
 
  private:
   std::vector<std::string> boundaries_;
@@ -166,18 +155,6 @@ class RangePartitioner : public Partitioner {
 /// \brief Lazily-loaded input split with optional locality hint.
 struct InputSplit {
   std::function<Result<std::string>()> load;
-  /// Streaming alternative to `load`: when set, the map task never
-  /// materializes the split's bytes as one string — the engine invokes
-  /// `stream` with the task's MapContext and the function drives emits
-  /// itself (e.g. a pipeline node graph pumping bounded batches from a
-  /// source, with shuffle spills interleaving with compute). `load` is
-  /// ignored when `stream` is set. Retry/speculation/skip semantics and
-  /// the split-load / map-attempt fault-injection points are identical
-  /// to loaded splits, so a retried streamed attempt MUST be able to
-  /// restart the stream from the beginning. The task record's
-  /// input_bytes comes from the "map_input_bytes" counter the stream is
-  /// expected to increment.
-  std::function<Status(MapContext*)> stream;
   int preferred_node = -1;
   /// Optional readiness gate: the map task for this split is not even
   /// admitted to the job's task slots until the signal fires (it holds
@@ -193,6 +170,11 @@ InputSplit InlineSplit(std::string data);
 /// Counter charged with the wall time of JobConfig::on_partition_output,
 /// per reduce: work that runs after the reduce's TaskRecord closed.
 inline constexpr char kPartitionOutputMicros[] = "partition_output_micros";
+
+/// Times one map task's output may be lost (dead node, corrupt run, or
+/// injected fetch failure) and the task re-executed before the job fails
+/// (mapreduce.reduce.shuffle fetch-failure limit analog).
+inline constexpr int kMaxMapReexecutions = 2;
 
 /// \brief Job-level configuration (Hadoop-parameter analogs).
 struct JobConfig {
@@ -231,9 +213,6 @@ struct JobConfig {
       on_partition_output;
   /// Map-side sort buffer; exceeding it spills a sorted run to "disk".
   int64_t sort_buffer_bytes = 64LL << 20;
-  /// Fraction of maps that must finish before reducers start (recorded in
-  /// counters for the simulator; functional execution is unaffected).
-  double slowstart_completed_maps = 0.05;
   /// Optional map-side combiner (Hadoop combiner analog): runs over every
   /// sorted spill run before it freezes, collapsing each key group's
   /// values. Must be an associative pre-reduce that does not change the
@@ -244,32 +223,13 @@ struct JobConfig {
 
   /// Attempts per task before the job fails (mapreduce.map/reduce.maxattempts).
   int max_task_attempts = 2;
-  /// Backoff before retry k is retry_base_ms * 2^(k-1), capped below.
-  /// 0 disables sleeping between attempts.
-  int retry_base_ms = 0;
-  int retry_max_backoff_ms = 1000;
-  /// Re-execute a straggler attempt once and keep whichever finishes
-  /// first (Hadoop speculative execution).
-  bool speculative_execution = false;
-  /// A successful attempt slower than this is considered a straggler.
-  int speculative_slow_task_ms = 100;
-  /// A speculative backup only wins when it beats the original attempt's
-  /// measured duration by MORE than this margin; ties and sub-margin
-  /// differences deterministically keep the original attempt. This caps
-  /// the duration comparison so two attempts suffering identical
-  /// injected latency cannot flip the verdict on scheduler jitter.
-  int speculative_win_margin_ms = 1;
-  /// After exhausted map retries, isolate the poison split (counted and
-  /// listed in JobResult::skipped_splits) instead of failing the job
-  /// (mapreduce.map.skip analog).
-  bool skip_bad_records = false;
   /// Optional chaos source (not owned). nullptr disables injection.
   FaultInjector* fault_injector = nullptr;
   /// Optional cooperative cancellation. Once the token flips, no new
   /// task attempt starts (in-flight attempts finish), cancelled attempts
-  /// are never retried or skip-isolated, gated splits are released
-  /// instead of waiting on signals that may never fire, and the job
-  /// completes with Status::Cancelled carrying the token's cause.
+  /// are never retried, gated splits are released instead of waiting on
+  /// signals that may never fire, and the job completes with
+  /// Status::Cancelled carrying the token's cause.
   std::shared_ptr<CancelToken> cancel;
 
   // --- Whole-node failure model (lost-map-output re-execution) ---
@@ -279,10 +239,6 @@ struct JobConfig {
   /// "node.crash" fault point (key = node id, attempt = 0) decides which
   /// nodes die before the reduce-side fetch. 0 disables the node model.
   int num_nodes = 0;
-  /// Times one map task's output may be lost (dead node, corrupt run, or
-  /// injected fetch failure) and the task re-executed before the job
-  /// fails (mapreduce.reduce.shuffle fetch-failure limit analog).
-  int max_map_reexecutions = 2;
   /// CRC32C every frozen shuffle run at spill time and verify it at
   /// reduce-fetch time; a mismatch counts as a lost map output.
   bool checksum_shuffle = true;
@@ -311,10 +267,9 @@ struct TaskRecord {
   int64_t output_bytes = 0;
   /// Attempt number that produced this record (0 = first attempt).
   int attempt = 0;
-  /// True when a speculative re-execution won over the original attempt.
-  bool speculative = false;
-  /// Simulated compute node the winning attempt ran on (-1 without a
-  /// node model). A re-executed map records the node it moved to.
+  /// Simulated compute node a map task ran on (-1 for reduces and
+  /// without a node model). A re-executed map records the node it moved
+  /// to.
   int node = -1;
 };
 
@@ -323,8 +278,6 @@ struct JobResult {
   std::vector<std::vector<std::string>> reducer_outputs;
   JobCounters counters;
   std::vector<TaskRecord> tasks;
-  /// Map task indices isolated by skip_bad_records (empty otherwise).
-  std::vector<int> skipped_splits;
 };
 
 using MapperFactory = std::function<std::unique_ptr<Mapper>()>;

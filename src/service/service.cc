@@ -170,8 +170,7 @@ bool CountersIndicateRecovery(const JobCounters& c) {
   static const char* const kRecoveryCounters[] = {
       "map_task_retries",     "reduce_task_retries",
       "map_tasks_reexecuted", "map_outputs_lost_to_dead_nodes",
-      "shuffle_fetch_corruptions", "map_splits_skipped",
-      "speculative_wins"};
+      "shuffle_fetch_corruptions"};
   for (const char* name : kRecoveryCounters) {
     if (c.Get(name) > 0) return true;
   }

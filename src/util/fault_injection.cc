@@ -30,7 +30,7 @@ void FaultInjector::ArmSchedule(const std::string& point, int64_t key,
 }
 
 Status FaultInjector::ArmLatency(const std::string& point, double p,
-                                 int millis, int only_attempts_below) {
+                                 int millis) {
   if (p < 0.0 || p > 1.0) {
     return Status::InvalidArgument("latency probability must be in [0, 1]");
   }
@@ -41,7 +41,6 @@ Status FaultInjector::ArmLatency(const std::string& point, double p,
   PointConfig& cfg = points_[point];
   cfg.latency_probability = p;
   cfg.latency_ms = millis;
-  cfg.latency_only_attempts_below = only_attempts_below;
   return Status::OK();
 }
 
@@ -98,10 +97,7 @@ int FaultInjector::LatencyMs(const std::string& point, int64_t key,
   auto it = points_.find(point);
   if (it == points_.end()) return 0;
   PointConfig& cfg = it->second;
-  if (cfg.latency_ms <= 0 || cfg.latency_probability <= 0.0 ||
-      attempt >= cfg.latency_only_attempts_below) {
-    return 0;
-  }
+  if (cfg.latency_ms <= 0 || cfg.latency_probability <= 0.0) return 0;
   if (Draw(point, key, attempt, /*salt=*/0x1a7u) >=
       cfg.latency_probability) {
     return 0;

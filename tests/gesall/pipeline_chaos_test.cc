@@ -48,9 +48,6 @@ std::string SummaryToString(const FaultToleranceSummary& s) {
   std::ostringstream os;
   os << "map_retries=" << s.map_task_retries
      << " reduce_retries=" << s.reduce_task_retries
-     << " spec_launches=" << s.speculative_launches
-     << " spec_wins=" << s.speculative_wins
-     << " skipped=" << s.map_splits_skipped
      << " failed_over=" << s.blocks_failed_over
      << " replica_failures=" << s.replica_read_failures
      << " blacklisted=" << s.nodes_blacklisted;
@@ -93,7 +90,9 @@ class PipelineChaosTest : public testing::Test {
     return config;
   }
 
-  static ChaosRun RunUnderChaos(uint64_t seed) {
+  // `streaming` fuses rounds 1+2, so the seeded map faults also land on
+  // the fused align-and-clean tasks.
+  static ChaosRun RunUnderChaos(uint64_t seed, bool streaming) {
     ChaosRun run;
     run.injector = std::make_unique<FaultInjector>(seed);
     EXPECT_TRUE(run.injector->ArmProbability(kFaultMapAttempt, 0.2).ok());
@@ -105,6 +104,7 @@ class PipelineChaosTest : public testing::Test {
     PipelineConfig config = MakePipelineConfig();
     config.fault_injector = run.injector.get();
     config.max_task_attempts = 6;
+    config.streaming = streaming;
     run.pipeline = std::make_unique<GesallPipeline>(*ref_, *index_,
                                                     run.dfs.get(), config);
     EXPECT_TRUE(
@@ -181,8 +181,13 @@ class PipelineChaosTest : public testing::Test {
     baseline_node_summary_ =
         new NodeFailureSummary(baseline.SummarizeNodeFailures());
 
-    chaos_ = new ChaosRun(RunUnderChaos(kChaosSeed));
-    chaos_repeat_ = new ChaosRun(RunUnderChaos(kChaosSeed));
+    chaos_ = new ChaosRun(RunUnderChaos(kChaosSeed, /*streaming=*/false));
+    chaos_repeat_ =
+        new ChaosRun(RunUnderChaos(kChaosSeed, /*streaming=*/false));
+    streamed_chaos_ =
+        new ChaosRun(RunUnderChaos(kChaosSeed, /*streaming=*/true));
+    streamed_chaos_repeat_ =
+        new ChaosRun(RunUnderChaos(kChaosSeed, /*streaming=*/true));
     node_chaos_ = new ChaosRun(RunUnderNodeChaos(kChaosSeed));
     node_chaos_repeat_ = new ChaosRun(RunUnderNodeChaos(kChaosSeed));
   }
@@ -190,6 +195,8 @@ class PipelineChaosTest : public testing::Test {
   static void TearDownTestSuite() {
     delete node_chaos_repeat_;
     delete node_chaos_;
+    delete streamed_chaos_repeat_;
+    delete streamed_chaos_;
     delete chaos_repeat_;
     delete chaos_;
     delete baseline_node_summary_;
@@ -214,6 +221,8 @@ class PipelineChaosTest : public testing::Test {
   static NodeFailureSummary* baseline_node_summary_;
   static ChaosRun* chaos_;
   static ChaosRun* chaos_repeat_;
+  static ChaosRun* streamed_chaos_;
+  static ChaosRun* streamed_chaos_repeat_;
   static ChaosRun* node_chaos_;
   static ChaosRun* node_chaos_repeat_;
 };
@@ -229,6 +238,8 @@ FaultToleranceSummary* PipelineChaosTest::baseline_summary_ = nullptr;
 NodeFailureSummary* PipelineChaosTest::baseline_node_summary_ = nullptr;
 ChaosRun* PipelineChaosTest::chaos_ = nullptr;
 ChaosRun* PipelineChaosTest::chaos_repeat_ = nullptr;
+ChaosRun* PipelineChaosTest::streamed_chaos_ = nullptr;
+ChaosRun* PipelineChaosTest::streamed_chaos_repeat_ = nullptr;
 ChaosRun* PipelineChaosTest::node_chaos_ = nullptr;
 ChaosRun* PipelineChaosTest::node_chaos_repeat_ = nullptr;
 
@@ -285,6 +296,20 @@ TEST_F(PipelineChaosTest, DiagnosisReportSurfacesFaultTolerance) {
   EXPECT_EQ(plain.ValueOrDie().markdown.find("## Fault tolerance"),
             std::string::npos);
   EXPECT_FALSE(plain.ValueOrDie().fault_tolerance.any_faults_survived());
+}
+
+// A failed fused align-and-clean attempt is retried like any other map
+// task: the streamed run recovers to the same calls, reproducibly.
+TEST_F(PipelineChaosTest, StreamedRunRecoversFromTaskFaults) {
+  EXPECT_EQ(VariantKeys(streamed_chaos_->variants),
+            VariantKeys(*baseline_variants_));
+  const FaultToleranceSummary& s = streamed_chaos_->summary;
+  EXPECT_GT(s.map_task_retries, 0);
+  EXPECT_GT(s.reduce_task_retries, 0);
+  EXPECT_EQ(SummaryToString(s),
+            SummaryToString(streamed_chaos_repeat_->summary));
+  EXPECT_EQ(VariantKeys(streamed_chaos_->variants),
+            VariantKeys(streamed_chaos_repeat_->variants));
 }
 
 // --- Node chaos: corruption on every block + a mid-job node crash ---

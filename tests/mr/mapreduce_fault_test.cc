@@ -1,6 +1,6 @@
 // Fault-tolerance behavior of the MapReduce engine: task-attempt retries,
-// deterministic output under injected faults, skip-bad-records isolation,
-// speculative execution, and the JobConfig/partitioner hardening.
+// deterministic output under injected faults, and the JobConfig/
+// partitioner hardening.
 
 #include <gtest/gtest.h>
 
@@ -121,25 +121,6 @@ TEST(MapReduceFaultTest, ExhaustedAttemptsFailTheJob) {
   EXPECT_TRUE(result.status().IsIOError());
 }
 
-TEST(MapReduceFaultTest, SkipBadRecordsIsolatesPoisonSplit) {
-  FaultInjector injector(1);
-  // Split 1 fails every regular attempt: a true poison split.
-  injector.ArmSchedule(kFaultMapAttempt, /*key=*/1, {0, 1, 2});
-  JobConfig cfg;
-  cfg.max_task_attempts = 3;
-  cfg.skip_bad_records = true;
-  cfg.fault_injector = &injector;
-  auto splits = WordSplits(4);
-  auto result = RunWordCount(cfg, splits).ValueOrDie();
-  ASSERT_EQ(result.skipped_splits.size(), 1u);
-  EXPECT_EQ(result.skipped_splits[0], 1);
-  EXPECT_EQ(result.counters.Get("map_splits_skipped"), 1);
-  // The skipped split contributed nothing, the others all did.
-  EXPECT_EQ(result.counters.Get("map_output_records"), 3 * 2);
-  EXPECT_EQ(result.counters.Get("map_output_records"),
-            result.counters.Get("reduce_shuffle_records"));
-}
-
 TEST(MapReduceFaultTest, ReduceRetriesReproduceTheSameOutput) {
   auto splits = WordSplits(8);
   JobConfig clean;
@@ -155,77 +136,14 @@ TEST(MapReduceFaultTest, ReduceRetriesReproduceTheSameOutput) {
   EXPECT_EQ(result.reducer_outputs, baseline.reducer_outputs);
 }
 
-TEST(MapReduceFaultTest, SpeculativeBackupWinsOverStraggler) {
-  FaultInjector injector(1);
-  // Attempt 0 of every map task is a straggler; the speculative backup
-  // (numbered past max_task_attempts) lands on a "healthy node".
-  ASSERT_TRUE(injector.ArmLatency(kFaultMapAttempt, 1.0, 60,
-                                  /*only_attempts_below=*/1).ok());
-  JobConfig cfg;
-  cfg.fault_injector = &injector;
-  cfg.speculative_execution = true;
-  cfg.speculative_slow_task_ms = 30;
-  MapReduceJob job(cfg);
-  std::vector<InputSplit> splits = {InlineSplit("a b"), InlineSplit("c")};
-  auto result = job.RunMapOnly(splits, [] {
-                      return std::make_unique<WordCountMapper>();
-                    }).ValueOrDie();
-  EXPECT_EQ(result.counters.Get("speculative_launches"), 2);
-  EXPECT_EQ(result.counters.Get("speculative_wins"), 2);
-  int speculative_records = 0;
-  for (const auto& task : result.tasks) speculative_records += task.speculative;
-  EXPECT_EQ(speculative_records, 2);
-}
-
-TEST(MapReduceFaultTest, SpeculativeTieKeepsOriginalAttempt) {
-  FaultInjector injector(1);
-  // Every attempt — original and backup alike — suffers the same
-  // injected latency, so their measured durations differ only by
-  // scheduler jitter. With a win margin far above that jitter, the
-  // documented tie-break applies: the original attempt deterministically
-  // keeps the task.
-  ASSERT_TRUE(injector.ArmLatency(kFaultMapAttempt, 1.0, 40).ok());
-  JobConfig cfg;
-  cfg.fault_injector = &injector;
-  cfg.speculative_execution = true;
-  cfg.speculative_slow_task_ms = 20;
-  cfg.speculative_win_margin_ms = 1000;
-  MapReduceJob job(cfg);
-  std::vector<InputSplit> splits = {InlineSplit("a b"), InlineSplit("c")};
-  auto result = job.RunMapOnly(splits, [] {
-                      return std::make_unique<WordCountMapper>();
-                    }).ValueOrDie();
-  EXPECT_EQ(result.counters.Get("speculative_launches"), 2);
-  EXPECT_EQ(result.counters.Get("speculative_wins"), 0);
-  for (const auto& task : result.tasks) {
-    EXPECT_FALSE(task.speculative);
-    EXPECT_EQ(task.attempt, 0);
-  }
-}
-
-TEST(MapReduceFaultTest, NegativeSpeculativeMarginRejected) {
-  JobConfig cfg;
-  cfg.speculative_win_margin_ms = -1;
-  std::vector<InputSplit> splits = {InlineSplit("a")};
-  EXPECT_TRUE(MapReduceJob(cfg)
-                  .RunMapOnly(splits,
-                              [] { return std::make_unique<WordCountMapper>(); })
-                  .status()
-                  .IsInvalidArgument());
-}
-
 TEST(MapReduceFaultTest, RetryMachineryIdleWithoutInjector) {
   JobConfig cfg;
   cfg.max_task_attempts = 4;
-  cfg.speculative_execution = false;
   auto result = RunWordCount(cfg, WordSplits(6)).ValueOrDie();
   EXPECT_EQ(result.counters.Get("map_task_retries"), 0);
   EXPECT_EQ(result.counters.Get("reduce_task_retries"), 0);
-  EXPECT_EQ(result.counters.Get("speculative_launches"), 0);
-  EXPECT_TRUE(result.skipped_splits.empty());
   for (const auto& task : result.tasks) {
     EXPECT_EQ(task.attempt, 0);
-    EXPECT_FALSE(task.speculative);
   }
 }
 
@@ -253,13 +171,6 @@ TEST(MapReduceFaultTest, JobConfigValidation) {
   JobConfig bad_attempts;
   bad_attempts.max_task_attempts = 0;
   EXPECT_TRUE(MapReduceJob(bad_attempts)
-                  .RunMapOnly(splits, mapper)
-                  .status()
-                  .IsInvalidArgument());
-
-  JobConfig bad_backoff;
-  bad_backoff.retry_base_ms = -1;
-  EXPECT_TRUE(MapReduceJob(bad_backoff)
                   .RunMapOnly(splits, mapper)
                   .status()
                   .IsInvalidArgument());

@@ -2,7 +2,7 @@
 // CRC32C checksums over frozen shuffle runs, reduce-fetch verification,
 // and Hadoop's lost-map-output semantics — a completed map task whose
 // output sat on a crashed node (or no longer verifies) is re-executed on
-// a live node, bounded by max_map_reexecutions.
+// a live node, at most kMaxMapReexecutions times.
 
 #include <gtest/gtest.h>
 
@@ -142,7 +142,6 @@ TEST(MapReduceNodeFailureTest, InjectedFetchFailuresForceReExecution) {
   injector.ArmSchedule(kFaultShuffleFetch, /*key=*/3, {0, 1});
   JobConfig cfg;
   cfg.num_nodes = 3;
-  cfg.max_map_reexecutions = 2;
   cfg.fault_injector = &injector;
   auto result = RunWordCount(cfg, splits).ValueOrDie();
   EXPECT_EQ(result.reducer_outputs, baseline.reducer_outputs);
@@ -152,10 +151,10 @@ TEST(MapReduceNodeFailureTest, InjectedFetchFailuresForceReExecution) {
 
 TEST(MapReduceNodeFailureTest, ExceedingMaxReExecutionsFailsTheJob) {
   FaultInjector injector(5);
+  // The third loss is one more than kMaxMapReexecutions allows.
   injector.ArmSchedule(kFaultShuffleFetch, /*key=*/2, {0, 1, 2});
   JobConfig cfg;
   cfg.num_nodes = 3;
-  cfg.max_map_reexecutions = 2;  // third loss is one too many
   cfg.fault_injector = &injector;
   auto result = RunWordCount(cfg, WordSplits(4));
   ASSERT_FALSE(result.ok());
@@ -231,10 +230,6 @@ TEST(MapReduceNodeFailureTest, ValidateConfigRejectsNegativeKnobs) {
   JobConfig bad_nodes;
   bad_nodes.num_nodes = -1;
   ASSERT_FALSE(RunWordCount(bad_nodes, WordSplits(2)).ok());
-
-  JobConfig bad_reexec;
-  bad_reexec.max_map_reexecutions = -1;
-  ASSERT_FALSE(RunWordCount(bad_reexec, WordSplits(2)).ok());
 }
 
 }  // namespace

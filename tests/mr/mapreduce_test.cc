@@ -203,6 +203,39 @@ TEST(MapReduceTest, MapOnlyKeepsPerTaskOutputs) {
   EXPECT_EQ(result.reducer_outputs[1], (std::vector<std::string>{"b!"}));
 }
 
+// Map-only tasks that emit keyed values, as the bloom pre-round (key
+// "bloom") and the covariate job (key "table") do: keys are dropped, and
+// output bytes count the kept values alone.
+TEST(MapReduceTest, MapOnlyKeyedEmitsCountValueBytes) {
+  class KeyedMapper : public Mapper {
+   public:
+    Status Map(const std::string& input, MapContext* ctx) override {
+      ctx->Emit("table", input);
+      ctx->EmitView("bloom", input + input);
+      return Status::OK();
+    }
+  };
+  MapReduceJob job;
+  auto result = job.RunMapOnly(
+                       {InlineSplit("abc"), InlineSplit("de")},
+                       [] { return std::make_unique<KeyedMapper>(); })
+                    .ValueOrDie();
+  ASSERT_EQ(result.reducer_outputs.size(), 2u);
+  EXPECT_EQ(result.reducer_outputs[0],
+            (std::vector<std::string>{"abc", "abcabc"}));
+  EXPECT_EQ(result.reducer_outputs[1],
+            (std::vector<std::string>{"de", "dede"}));
+  EXPECT_EQ(result.counters.Get("map_output_records"), 4);
+  EXPECT_EQ(result.counters.Get("map_output_bytes"), 3 + 6 + 2 + 4);
+  ASSERT_EQ(result.tasks.size(), 2u);
+  for (const auto& task : result.tasks) {
+    EXPECT_EQ(task.type, TaskRecord::Type::kMap);
+    const int64_t size = task.index == 0 ? 3 : 2;
+    EXPECT_EQ(task.input_bytes, size);
+    EXPECT_EQ(task.output_bytes, 3 * size);
+  }
+}
+
 TEST(MapReduceTest, TaskTimelineRecorded) {
   MapReduceJob job;
   auto result = job.Run(

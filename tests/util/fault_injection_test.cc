@@ -74,16 +74,15 @@ TEST(FaultInjectionTest, MaybeFailReturnsIOErrorNamingThePoint) {
   EXPECT_TRUE(injector.MaybeFail(kFaultReduceAttempt, 2, 1).ok());
 }
 
-TEST(FaultInjectionTest, LatencyRespectsAttemptCeiling) {
+TEST(FaultInjectionTest, LatencyDelaysEveryAttempt) {
   FaultInjector injector(5);
-  ASSERT_TRUE(injector.ArmLatency(kFaultMapAttempt, 1.0, 25,
-                                  /*only_attempts_below=*/1).ok());
+  ASSERT_TRUE(injector.ArmLatency(kFaultMapAttempt, 1.0, 25).ok());
   for (int key = 0; key < 10; ++key) {
     EXPECT_EQ(injector.LatencyMs(kFaultMapAttempt, key, 0), 25);
-    EXPECT_EQ(injector.LatencyMs(kFaultMapAttempt, key, 1), 0);
-    EXPECT_EQ(injector.LatencyMs(kFaultMapAttempt, key, 7), 0);
+    EXPECT_EQ(injector.LatencyMs(kFaultMapAttempt, key, 1), 25);
+    EXPECT_EQ(injector.LatencyMs(kFaultMapAttempt, key, 7), 25);
   }
-  EXPECT_EQ(injector.latency_fires(kFaultMapAttempt), 10);
+  EXPECT_EQ(injector.latency_fires(kFaultMapAttempt), 30);
   EXPECT_EQ(injector.fires(kFaultMapAttempt), 0);  // latency is not failure
 }
 

@@ -3,10 +3,11 @@
 // whole-genome read set, through the real ReadAligner hot path
 // (seeding, clustering, extension, dedupe).
 //
-// Measures reads/sec per kernel, steady-state heap allocations per read
-// (counted via a global operator new override — the AlignScratch pools
-// must make this exactly zero), and the fraction of DP cells the band
-// skips. The banded scalar and banded SIMD kernels must produce
+// Measures reads/sec per kernel as the median, min and max of
+// kRepetitions timed passes (the kernels take turns), steady-state heap
+// allocations per read (counted via a global operator new override — the
+// AlignScratch pools must make this exactly zero), and the fraction of DP
+// cells the band skips. The banded scalar and banded SIMD kernels must produce
 // bit-identical alignments (digested); the full-rectangle kernel is the
 // performance baseline only — on repetitive windows its winner can leave
 // the band, so full-vs-banded identity holds per read only for
@@ -14,8 +15,8 @@
 //
 // Emits machine-readable results as JSON (argv[1], default
 // BENCH_align.json in the working directory). Exits non-zero if the
-// banded SIMD kernel is not >= 3x the scalar full-rectangle kernel or if
-// the hot path allocates.
+// banded SIMD kernel's median reads/sec is not >= 3x the scalar
+// full-rectangle kernel's or if the hot path allocates.
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/aligner.h"
@@ -54,14 +56,26 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace gesall {
 namespace {
 
-constexpr int kIterations = 3;  // best-of to shed scheduler noise
+// Timed passes per kernel. The kernels take turns, and the one that goes
+// first rotates each repetition, so no kernel always runs on a cooler or
+// hotter machine; gates read the median pass.
+constexpr int kRepetitions = 7;
+static_assert(kRepetitions % 2 == 1, "the median is the middle pass");
 
-struct RunResult {
-  double seconds = 0;
-  int64_t reads = 0;
-  int64_t hot_allocations = 0;  // steady-state, after warmup
-  uint64_t digest = 0;          // FNV over every produced alignment
-  SwKernelStats stats;
+// One kernel's aligner, scratch and output list, plus what its timed
+// passes measured. The scratch and the list live across passes: they are
+// warmed to the allocation fixpoint once, so every timed pass is steady
+// state.
+struct KernelRun {
+  explicit KernelRun(ReadAligner a) : aligner(std::move(a)) {}
+
+  ReadAligner aligner;
+  AlignScratch scratch;
+  AlignmentList out;
+  std::vector<double> reads_per_sec;  // one entry per timed pass
+  int64_t hot_allocations = 0;        // summed over the timed passes
+  uint64_t digest = 0;                // FNV over one pass's alignments
+  SwKernelStats stats;                // one pass (identical across passes)
 };
 
 uint64_t DigestAlignments(uint64_t h, const AlignmentList& list) {
@@ -83,87 +97,92 @@ uint64_t DigestAlignments(uint64_t h, const AlignmentList& list) {
   return h;
 }
 
-RunResult RunKernel(const ReadAligner& aligner,
-                    const std::vector<FastqRecord>& reads) {
-  RunResult result;
-  AlignScratch scratch;
-  AlignmentList out;
-  // Warm up to the allocation fixpoint. Swap-based pooling permutes Cigar
-  // buffers between slots, so one pass can leave a few slots still below
-  // their high-water capacity; repeat until a full pass allocates nothing
-  // (total pooled capacity only grows, so this terminates).
+// Warms the scratch up to the allocation fixpoint. Swap-based pooling
+// permutes Cigar buffers between slots, so one pass can leave a few slots
+// still below their high-water capacity; repeat until a full pass
+// allocates nothing (total pooled capacity only grows, so this
+// terminates).
+void WarmUp(const std::vector<FastqRecord>& reads, KernelRun* k) {
   for (int pass = 0; pass < 8; ++pass) {
     const int64_t before = g_heap_allocations.load();
     for (const auto& r : reads) {
-      aligner.AlignReadInto(r.sequence, &scratch, &out);
+      k->aligner.AlignReadInto(r.sequence, &k->scratch, &k->out);
     }
     if (g_heap_allocations.load() == before) break;
   }
-  scratch.stats = SwKernelStats{};
+}
 
+// One timed pass over every read, appended to the kernel's results.
+void TimePass(const std::vector<FastqRecord>& reads, KernelRun* k) {
+  k->scratch.stats = SwKernelStats{};
   const int64_t allocs_before = g_heap_allocations.load();
   Stopwatch clock;
   uint64_t digest = 0xcbf29ce484222325ULL;
   for (const auto& r : reads) {
-    aligner.AlignReadInto(r.sequence, &scratch, &out);
-    digest = DigestAlignments(digest, out);
+    k->aligner.AlignReadInto(r.sequence, &k->scratch, &k->out);
+    digest = DigestAlignments(digest, k->out);
   }
-  result.seconds = clock.ElapsedSeconds();
-  result.hot_allocations = g_heap_allocations.load() - allocs_before;
-  result.reads = static_cast<int64_t>(reads.size());
-  result.digest = digest;
-  result.stats = scratch.stats;
-  return result;
+  const double seconds = clock.ElapsedSeconds();
+  k->hot_allocations += g_heap_allocations.load() - allocs_before;
+  k->reads_per_sec.push_back(static_cast<double>(reads.size()) / seconds);
+  k->digest = digest;
+  k->stats = k->scratch.stats;
 }
 
-template <typename Fn>
-RunResult BestOf(int iterations, const Fn& fn) {
-  RunResult best = fn();
-  for (int i = 1; i < iterations; ++i) {
-    RunResult r = fn();
-    r.hot_allocations = std::min(r.hot_allocations, best.hot_allocations);
-    if (r.seconds < best.seconds) {
-      r.stats = best.stats;  // stats are identical across iterations
-      best = r;
-    }
-  }
-  return best;
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
 }
 
-void PrintJson(std::FILE* f, int64_t reads, const RunResult& scalar,
-               const RunResult& banded, const RunResult& simd) {
-  auto rate = [](const RunResult& r) { return r.reads / r.seconds; };
+double AllocationsPerRead(const KernelRun& k, int64_t reads) {
+  return static_cast<double>(k.hot_allocations) /
+         static_cast<double>(reads * kRepetitions);
+}
+
+void PrintJson(std::FILE* f, int64_t reads, const KernelRun& scalar,
+               const KernelRun& banded, const KernelRun& simd) {
+  auto median = [](const KernelRun& k) {
+    return SpreadOf(k.reads_per_sec).median;
+  };
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"align\",\n");
   std::fprintf(f, "  \"reads\": %lld,\n", static_cast<long long>(reads));
-  std::fprintf(f, "  \"iterations\": %d,\n", kIterations);
+  std::fprintf(f, "  \"repetitions\": %d,\n", kRepetitions);
+  std::fprintf(f, "  \"statistic\": \"median\",\n");
   std::fprintf(f, "  \"simd_available\": %s,\n",
                SwSimdAvailable() ? "true" : "false");
-  auto section = [&](const char* name, const RunResult& r) {
+  auto section = [&](const char* name, const KernelRun& k) {
+    const Spread rate = SpreadOf(k.reads_per_sec);
     std::fprintf(f, "  \"%s\": {\n", name);
-    std::fprintf(f, "    \"seconds\": %.4f,\n", r.seconds);
-    std::fprintf(f, "    \"reads_per_sec\": %.0f,\n", rate(r));
+    std::fprintf(f,
+                 "    \"reads_per_sec\": {\"median\": %.0f, \"min\": %.0f, "
+                 "\"max\": %.0f},\n",
+                 rate.median, rate.min, rate.max);
     std::fprintf(f, "    \"allocations_per_read\": %.4f,\n",
-                 static_cast<double>(r.hot_allocations) /
-                     static_cast<double>(r.reads));
+                 AllocationsPerRead(k, reads));
     std::fprintf(f, "    \"kernel_calls\": %lld,\n",
-                 static_cast<long long>(r.stats.calls));
+                 static_cast<long long>(k.stats.calls));
     std::fprintf(f, "    \"simd_calls\": %lld,\n",
-                 static_cast<long long>(r.stats.simd_calls));
+                 static_cast<long long>(k.stats.simd_calls));
     std::fprintf(f, "    \"overflow_reruns\": %lld,\n",
-                 static_cast<long long>(r.stats.overflow_reruns));
+                 static_cast<long long>(k.stats.overflow_reruns));
     std::fprintf(f, "    \"band_cells_skipped\": %lld,\n",
-                 static_cast<long long>(r.stats.cells_skipped()));
+                 static_cast<long long>(k.stats.cells_skipped()));
     std::fprintf(f, "    \"cells_filled\": %lld\n",
-                 static_cast<long long>(r.stats.cells_filled));
+                 static_cast<long long>(k.stats.cells_filled));
     std::fprintf(f, "  },\n");
   };
   section("scalar_full", scalar);
   section("banded_scalar", banded);
   section("banded_simd", simd);
-  std::fprintf(f, "  \"speedup_banded\": %.2f,\n", rate(banded) / rate(scalar));
+  std::fprintf(f, "  \"speedup_banded\": %.2f,\n",
+               median(banded) / median(scalar));
   std::fprintf(f, "  \"speedup_banded_simd\": %.2f,\n",
-               rate(simd) / rate(scalar));
+               median(simd) / median(scalar));
   std::fprintf(f, "  \"identical_output\": %s,\n",
                banded.digest == simd.digest ? "true" : "false");
   std::fprintf(f, "  \"full_rectangle_matches_banded\": %s\n",
@@ -196,33 +215,35 @@ int Main(int argc, char** argv) {
     opt.kernel = mode;
     return ReadAligner(index, opt);
   };
-  ReadAligner scalar_aligner = aligner_for(SwKernelMode::kScalarFull);
-  ReadAligner banded_aligner = aligner_for(SwKernelMode::kBanded);
-  ReadAligner simd_aligner = aligner_for(SwKernelMode::kBandedSimd);
+  KernelRun scalar(aligner_for(SwKernelMode::kScalarFull));
+  KernelRun banded(aligner_for(SwKernelMode::kBanded));
+  KernelRun simd(aligner_for(SwKernelMode::kBandedSimd));
+  KernelRun* kernels[] = {&scalar, &banded, &simd};
+  for (KernelRun* k : kernels) WarmUp(reads, k);
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (int i = 0; i < 3; ++i) TimePass(reads, kernels[(rep + i) % 3]);
+  }
+  const int64_t n_reads = static_cast<int64_t>(reads.size());
 
-  RunResult scalar =
-      BestOf(kIterations, [&] { return RunKernel(scalar_aligner, reads); });
-  RunResult banded =
-      BestOf(kIterations, [&] { return RunKernel(banded_aligner, reads); });
-  RunResult simd =
-      BestOf(kIterations, [&] { return RunKernel(simd_aligner, reads); });
-
-  std::printf("  %-16s %9s %13s %13s %18s\n", "kernel", "seconds",
-              "reads/sec", "allocs/read", "cells skipped");
-  auto row = [&](const char* name, const RunResult& r) {
-    std::printf("  %-16s %9.3f %13.0f %13.4f %18lld\n", name, r.seconds,
-                r.reads / r.seconds,
-                static_cast<double>(r.hot_allocations) /
-                    static_cast<double>(r.reads),
-                static_cast<long long>(r.stats.cells_skipped()));
+  bench::Note("reads/sec over " + std::to_string(kRepetitions) +
+              " passes per kernel (median, min, max)");
+  std::printf("  %-16s %9s %9s %9s %13s %18s\n", "kernel", "median", "min",
+              "max", "allocs/read", "cells skipped");
+  auto row = [&](const char* name, const KernelRun& k) {
+    const Spread rate = SpreadOf(k.reads_per_sec);
+    std::printf("  %-16s %9.0f %9.0f %9.0f %13.4f %18lld\n", name,
+                rate.median, rate.min, rate.max,
+                AllocationsPerRead(k, n_reads),
+                static_cast<long long>(k.stats.cells_skipped()));
   };
   row("scalar full", scalar);
   row("banded scalar", banded);
   row("banded SIMD", simd);
 
-  const double speedup = (simd.reads / simd.seconds) /
-                         (scalar.reads / scalar.seconds);
-  std::printf("  banded SIMD speedup over scalar full: %.2fx\n", speedup);
+  const double speedup = SpreadOf(simd.reads_per_sec).median /
+                         SpreadOf(scalar.reads_per_sec).median;
+  std::printf("  banded SIMD speedup over scalar full (medians): %.2fx\n",
+              speedup);
 
   bool ok = true;
   ok &= bench::Check(banded.digest == simd.digest,
@@ -232,7 +253,7 @@ int Main(int argc, char** argv) {
                      "per read");
   ok &= bench::Check(speedup >= 3.0,
                      "banded SIMD kernel is >= 3x the scalar full-rectangle "
-                     "kernel");
+                     "kernel (median reads/sec)");
   ok &= bench::Check(simd.stats.cells_skipped() > 0,
                      "band skips a nonzero fraction of DP cells");
   if (SwSimdAvailable()) {
@@ -242,7 +263,7 @@ int Main(int argc, char** argv) {
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_align.json";
   if (std::FILE* f = std::fopen(out_path, "w")) {
-    PrintJson(f, static_cast<int64_t>(reads.size()), scalar, banded, simd);
+    PrintJson(f, n_reads, scalar, banded, simd);
     std::fclose(f);
     bench::Note(std::string("wrote ") + out_path);
   } else {

@@ -34,13 +34,15 @@ FmIndex::FmIndex(const std::string& text, int sa_sample_rate)
 
   std::vector<int32_t> sa = BuildSuffixArray(ranks);
 
-  // BWT and SA samples (sampled by text position: SA value % rate == 0).
-  bwt_.resize(n_);
+  // BWT masks and SA samples (sampled by text position: SA value % rate
+  // == 0). BWT[i] is ranks[SA[i] - 1]; the sentinel (SA[i] == 0) sets no
+  // mask bit.
+  blocks_.assign(n_ / 64 + 1, OccBlock{});
   std::vector<uint64_t> bitmap((n_ + 63) / 64, 0);
   std::vector<std::pair<int64_t, int64_t>> samples;  // (sa_index, value)
   for (int64_t i = 0; i < n_; ++i) {
     int64_t v = sa[i];
-    bwt_[i] = v == 0 ? '\0' : ranks[v - 1];
+    if (v != 0) blocks_[i / 64].mask[ranks[v - 1] - 1] |= 1ULL << (i % 64);
     if (v % sa_sample_rate_ == 0) {
       bitmap[i / 64] |= (1ULL << (i % 64));
       samples.emplace_back(i, v);
@@ -58,31 +60,24 @@ FmIndex::FmIndex(const std::string& text, int sa_sample_rate)
     sampled_sa_[i] = samples[i].second;
   }
 
-  // C table: counts of characters strictly smaller than each rank.
-  std::array<int64_t, 6> counts{};
-  for (char c : bwt_) ++counts[static_cast<unsigned char>(c) + 1];
-  c_[0] = 0;
-  for (int r = 1; r < 6; ++r) c_[r] = c_[r - 1] + counts[r];
-
-  // Occurrence checkpoints every checkpoint_stride_ BWT positions.
-  int64_t n_cp = n_ / checkpoint_stride_ + 1;
-  checkpoints_.assign(n_cp, {});
-  std::array<int64_t, 5> running{};
-  for (int64_t i = 0; i < n_; ++i) {
-    if (i % checkpoint_stride_ == 0) {
-      checkpoints_[i / checkpoint_stride_] = running;
-    }
-    ++running[static_cast<unsigned char>(bwt_[i])];
+  // Counts before each block, including the last one, which covers no
+  // position when n_ % 64 == 0 but is what Occ(r, n_) reads.
+  std::array<int64_t, 4> running{};
+  for (OccBlock& block : blocks_) {
+    block.before = running;
+    for (int s = 0; s < 4; ++s) running[s] += std::popcount(block.mask[s]);
   }
+
+  // C table: counts of characters strictly smaller than each rank.
+  c_[0] = 0;
+  c_[1] = 1;  // the sentinel
+  for (int r = 2; r < 6; ++r) c_[r] = c_[r - 1] + running[r - 2];
 }
 
 int64_t FmIndex::Occ(int r, int64_t pos) const {
-  int64_t cp = pos / checkpoint_stride_;
-  int64_t count = checkpoints_[cp][r];
-  for (int64_t i = cp * checkpoint_stride_; i < pos; ++i) {
-    if (static_cast<unsigned char>(bwt_[i]) == r) ++count;
-  }
-  return count;
+  const OccBlock& block = blocks_[pos / 64];
+  uint64_t below = (1ULL << (pos % 64)) - 1;
+  return block.before[r - 1] + std::popcount(block.mask[r - 1] & below);
 }
 
 SaInterval FmIndex::ExtendLeft(const SaInterval& interval, char c) const {
@@ -114,10 +109,12 @@ int64_t FmIndex::Locate(int64_t sa_index) const {
                      std::popcount(word & ((1ULL << (pos % 64)) - 1));
       return sampled_sa_[rank] + steps;
     }
-    int r = static_cast<unsigned char>(bwt_[pos]);
-    // r == 0 (sentinel) implies SA value 0, which is always sampled, so we
-    // can never be here with r == 0.
-    pos = c_[r] + Occ(r, pos);
+    // BWT[pos] is the symbol whose mask has the bit; it cannot be the
+    // sentinel, whose SA value 0 is always sampled, so no bit means T.
+    const OccBlock& block = blocks_[pos / 64];
+    int s = 0;
+    while (s < 3 && (block.mask[s] & (1ULL << (pos % 64))) == 0) ++s;
+    pos = c_[s + 1] + Occ(s + 1, pos);
     ++steps;
   }
 }

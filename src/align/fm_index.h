@@ -1,7 +1,14 @@
-// FM-index (Burrows-Wheeler transform + checkpointed occurrence counts +
+// FM-index (Burrows-Wheeler transform + popcount occurrence blocks +
 // sampled suffix array) over the A/C/G/T alphabet, supporting backward
 // search for exact seed matching and position lookup — the core of the
 // BWA-style aligner [Li & Durbin 2009].
+//
+// The BWT is stored only inside the occurrence blocks, in the shape of
+// BWA-MEM2's occurrence checkpoints [Vasimuddin et al., IPDPS 2019]: one
+// 64-byte block per 64 BWT positions, holding the count of each symbol
+// before the block and one 64-bit mask per symbol marking where it
+// occurs inside the block. A rank query is one block load plus a masked
+// popcount, and the blocks take one byte per indexed base.
 
 #ifndef GESALL_ALIGN_FM_INDEX_H_
 #define GESALL_ALIGN_FM_INDEX_H_
@@ -25,6 +32,13 @@ struct SaInterval {
 /// \brief FM-index over text of alphabet {$, A, C, G, T}; other letters are
 /// coerced to 'A' at build time and never match exactly (the aligner's
 /// Smith-Waterman stage tolerates them as mismatches).
+///
+/// Ranks come from `blocks_`: block `b` covers BWT positions
+/// [64b, 64b + 64). There are n/64 + 1 blocks for n BWT positions, so the
+/// block that `Occ(r, n)` reads exists and carries the full counts even
+/// when n is a multiple of 64 and that block covers no position. The
+/// sentinel sets no mask bit; `Locate` never reads it, because its SA
+/// value 0 is always sampled.
 class FmIndex {
  public:
   /// Builds the index. `text` must NOT contain '\0'; a sentinel is
@@ -57,16 +71,21 @@ class FmIndex {
                      std::vector<int64_t>* out) const;
 
  private:
+  /// 64 BWT positions in one cache line. Index s = rank - 1 (A, C, G, T).
+  struct alignas(64) OccBlock {
+    std::array<int64_t, 4> before;  // occurrences of s in BWT[0, 64b)
+    std::array<uint64_t, 4> mask;   // bit j: BWT[64b + j] is s
+  };
+  static_assert(sizeof(OccBlock) == 64);
+
   static int CharRank(char c);
 
-  /// Number of occurrences of character-rank `r` in bwt_[0, pos).
+  /// Number of occurrences of character-rank `r` (1..4) in BWT[0, pos).
   int64_t Occ(int r, int64_t pos) const;
 
   int64_t n_ = 0;                 // text length including sentinel
-  std::string bwt_;               // BWT as rank bytes (0..4)
   std::array<int64_t, 6> c_{};    // C[r]: # of chars with rank < r
-  int checkpoint_stride_ = 128;
-  std::vector<std::array<int64_t, 5>> checkpoints_;
+  std::vector<OccBlock> blocks_;  // n_ / 64 + 1 occurrence blocks
   int sa_sample_rate_;
   std::vector<int64_t> sampled_sa_;     // SA values at sampled SA indexes
   std::vector<uint64_t> bitmap_words_;  // bitmap: is SA index sampled?

@@ -246,6 +246,25 @@ TEST_F(AlignerTest, FallbackInsertStatsWhenTooFewSamples) {
   EXPECT_DOUBLE_EQ(stats.sd, 60.0);
 }
 
+// A reference of 40,959 bases plus the index's sentinel is 40,960 BWT
+// positions, a multiple of both 64 and 128. Every seed search starts
+// with the rank at the end of the BWT, so the rank structure must answer
+// it there, or every search comes back empty and no read maps.
+TEST(AlignerBlockBoundaryTest, ReferenceFillingWholeRankBlocksStillMaps) {
+  ReferenceGeneratorOptions ro;
+  ro.num_chromosomes = 1;
+  ro.chromosome_length = 40'959;
+  ReferenceGenome ref = GenerateReference(ro);
+  ASSERT_EQ(ref.TotalLength(), 40'959);
+  GenomeIndex index(ref);
+  ReadAligner aligner(index);
+  const std::string& seq = ref.chromosomes[0].sequence;
+  for (int i = 0; i < 40; ++i) {
+    int64_t pos = 1'000 * i + 7;
+    EXPECT_FALSE(aligner.AlignRead(seq.substr(pos, 100)).empty()) << pos;
+  }
+}
+
 TEST_F(AlignerTest, PartitioningChangesSomeResults) {
   // The paper's core accuracy finding: running the aligner on partitioned
   // input produces slightly different results than one serial run.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string_view>
 
 #include "util/rng.h"
 
@@ -121,6 +123,55 @@ TEST(FmIndexTest, RepetitiveTextManyHits) {
   EXPECT_EQ(hit.size(), 99 - 1 + 1);
   auto some = fm.LocateAll(hit, 5);
   EXPECT_EQ(some.size(), 5u);
+}
+
+// Every rank and every Locate against a BWT and suffix array built by
+// sorting suffixes. The lengths straddle the 64-position occurrence
+// blocks: at 63, 127, 191 and 4095 the BWT with its sentinel fills whole
+// blocks, so the last rank, Occ(r, n), reads a block that covers no
+// position and must still carry the full counts.
+TEST(FmIndexTest, EveryRankAndLocateMatchNaiveBwt) {
+  Rng rng(17);
+  for (int len : {1, 2, 62, 63, 64, 65, 126, 127, 128, 129, 191, 1000, 4095,
+                  4096}) {
+    std::string text(len, 'A');
+    for (auto& c : text) c = "ACGTN"[rng.Uniform(5)];
+    // The index coerces N to A and appends a sentinel below every symbol.
+    std::string coerced = text;
+    std::replace(coerced.begin(), coerced.end(), 'N', 'A');
+    coerced.push_back('\0');
+    const int64_t n = static_cast<int64_t>(coerced.size());
+    std::vector<int64_t> sa(n);
+    std::iota(sa.begin(), sa.end(), 0);
+    std::string_view view(coerced);
+    std::sort(sa.begin(), sa.end(), [&](int64_t a, int64_t b) {
+      return view.substr(a) < view.substr(b);
+    });
+
+    for (int rate : {1, 8, 32}) {
+      FmIndex fm(text, rate);
+      ASSERT_EQ(fm.WholeInterval().size(), n) << len;
+      for (char c : std::string("ACGT")) {
+        // C[c] + Occ(c, p): the number of symbols below c, plus the
+        // occurrences of c in BWT[0, p).
+        int64_t rank = std::count_if(coerced.begin(), coerced.end(),
+                                     [c](char x) { return x < c; });
+        std::vector<int64_t> expected = {rank};
+        for (int64_t i = 0; i < n; ++i) {
+          if (sa[i] > 0 && coerced[sa[i] - 1] == c) ++rank;
+          expected.push_back(rank);
+        }
+        for (int64_t p = 0; p < n; ++p) {
+          SaInterval got = fm.ExtendLeft({p, p + 1}, c);
+          ASSERT_EQ(got.lo, expected[p]) << len << " " << c << " " << p;
+          ASSERT_EQ(got.hi, expected[p + 1]) << len << " " << c << " " << p;
+        }
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(fm.Locate(i), sa[i]) << len << " rate " << rate << " " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 // differs. Writes BENCH_pipeline.json and exits non-zero if the overlap
 // speedup drops below 1.2x or outputs diverge.
 //
-// The "streaming" section gates the fused rounds-1+2 node graph
-// (PipelineConfig::streaming): (a) the streamed align+clean chain's
+// The "streaming" section gates the fused rounds-1+2 batch loop
+// (PipelineConfig::streaming): (a) the streamed align+clean loop's
 // allocation high-water mark for a 2x-deeper sample split into 2x
 // partitions stays within 1.15x of the 1x sample (memory scales with
 // partition size, not depth), (b) the streaming engine beats the
@@ -109,7 +109,7 @@ ModeResult RunMode(const Sample& s, bool pipelined, bool streaming = false) {
 }
 
 // Incremental allocation high-water mark of streaming `parts` through
-// the align node graph one partition at a time (sink discards), over
+// the align loop one partition at a time (sink discards), over
 // the live count at phase start — the phase's own footprint, excluding
 // whatever the caller keeps alive around it. The counter is fed by the
 // operator-new hooks linked into this binary, so it is deterministic.
@@ -224,8 +224,8 @@ int Main(int argc, char** argv) {
                           barriered.variant_keys == streamed.variant_keys;
 
   // Bounded-memory gate: a 2x-deeper sample streamed as 2x partitions
-  // must peak within 1.15x of the 1x sample — the streaming chain's
-  // footprint is one partition plus bounded queues, never the sample.
+  // must peak within 1.15x of the 1x sample — the streaming loop's
+  // footprint is one partition plus one aligned batch, never the sample.
   {
     auto interleaved =
         InterleavePairs(sample.reads.mate1, sample.reads.mate2)

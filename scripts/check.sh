@@ -37,30 +37,25 @@
 #     saturating DP arithmetic must be free of undefined behavior, or
 #     corruption detection itself can't be trusted.
 #   - TSan (util_test, mr_test, service_test, dfs_test, plus the
-#     node-graph, schedule and serial-oracle suites): the work-stealing
+#     streaming, schedule and serial-oracle suites): the work-stealing
 #     executor (per-worker deques, steal-half transfers, TaskGroup
 #     helping waits, the shutdown/submit race) and the async MapReduce
 #     engine built on it are lock-ordering-sensitive by design; a data
 #     race here silently reorders round outputs. The service suite adds
 #     the job-manager threads (runners, watchdog, heartbeat) racing
 #     admission, cancellation and drain, including the multi-tenant
-#     chaos test over a shared DFS. The PipelineNodeTest filter exercises the pipeline
-#     node graph's pump/park state machine — one-shot queue wake-ups
-#     racing the idle transition, abort racing parked callbacks — which
-#     is exactly the machinery TSan exists for (util_test covers the
-#     BoundedQueue underneath it). The PipelineDagTest,
-#     StreamingPipelineTest and PipelineScheduleTest filters run whole
-#     pipelines through the one stage table in every schedule —
-#     barriered, pipelined, streamed, and resumed after a cancel — where
-#     every reduce builds and writes its partition on its worker with a
-#     nested parallel BGZF deflate, and a resumed overlapped run starts
-#     jobs against gates its sealed rounds fired before the jobs
-#     existed; the dfs suite covers concurrent Dfs::Write calls, each
-#     fanning its compress_parts deflate out as a nested TaskGroup.
-#     The SerialPipelineTest filter runs the serial oracle, whose chain
-#     is one task on a private one-worker executor that hands its result
-#     back to the blocked caller and pumps the alignment node graph
-#     alone.
+#     chaos test over a shared DFS. The PipelineNodeTest filter runs
+#     the fused align+clean batch loop, cancelled from its sink. The
+#     PipelineDagTest, StreamingPipelineTest and PipelineScheduleTest
+#     filters run whole pipelines through the one stage table in every
+#     schedule — barriered, pipelined, streamed, and resumed after a
+#     cancel — where every reduce builds and writes its partition on its
+#     worker with a nested parallel BGZF deflate, and a resumed
+#     overlapped run starts jobs against gates its sealed rounds fired
+#     before the jobs existed; the dfs suite covers concurrent
+#     Dfs::Write calls, each fanning its compress_parts deflate out as a
+#     nested TaskGroup.
+#     The SerialPipelineTest filter runs the serial oracle.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -224,13 +224,14 @@ struct ExecutionSummary {
 
   // Round scheduling.
   bool pipelined = false;
-  // Rounds 1+2 ran fused through the streaming node graph (no aligned
-  // stage on the DFS); see PipelineConfig::streaming.
+  // Rounds 1+2 ran fused, aligned and cleaned one batch at a time in
+  // each map task (no aligned stage on the DFS); see
+  // PipelineConfig::streaming.
   bool streaming = false;
   // Process peak RSS sampled at the end of the run (0 where the
-  // platform exposes none). The streaming path's headline claim —
-  // memory bounded by queue capacity, not partition depth — is gated
-  // on this number in the pipeline bench.
+  // platform exposes none). Reported only: the pipeline bench gates the
+  // streaming path's memory on PeakAllocBytes (util/mem_hooks.cc), not
+  // on this.
   int64_t peak_rss_bytes = 0;
   double wall_seconds = 0;
   double serialized_round_seconds = 0;  // sum of round durations

@@ -65,29 +65,16 @@ void EmitKernelCounters(MapContext* ctx, const SwKernelStats& s) {
 }
 
 // Flushes a fused streamed round's telemetry into the task's counters:
-// the kernel stats plus CleanSam tallies (matching the barriered
-// rounds' names), and the per-edge queue depth/stall and per-node
-// pump/park numbers the streaming bench plots. Depth/stall counters
-// sum across map tasks, like every other job counter.
+// the kernel stats and CleanSam tallies under the barriered rounds'
+// names, the batch and read counts, and the alignment and cleaning time
+// as program_micros, as AlignmentMapper and CleaningMapper charge it.
 void EmitStreamCounters(MapContext* ctx, const AlignCleanStreamStats& s) {
   EmitKernelCounters(ctx, s.kernel);
   ctx->IncrementCounter("cleansam_clipped", s.clean_clipped);
   ctx->IncrementCounter("cleansam_dropped", s.clean_dropped);
   ctx->IncrementCounter("stream_batches", s.batches);
   ctx->IncrementCounter("stream_reads", s.reads);
-  for (const auto& e : s.edges) {
-    const std::string p = "stream_queue_" + e.name;
-    ctx->IncrementCounter(p + "_max_depth", e.queue.max_depth);
-    ctx->IncrementCounter(p + "_push_stalls", e.queue.push_stalls);
-    ctx->IncrementCounter(p + "_pop_stalls", e.queue.pop_stalls);
-    ctx->IncrementCounter(p + "_push_stall_micros", e.queue.push_stall_micros);
-    ctx->IncrementCounter(p + "_pop_stall_micros", e.queue.pop_stall_micros);
-  }
-  for (const auto& n : s.nodes) {
-    const std::string p = "stream_node_" + n.name;
-    ctx->IncrementCounter(p + "_pumps", n.pumps);
-    ctx->IncrementCounter(p + "_parks", n.parks);
-  }
+  ctx->IncrementCounter(kProgramMicros, s.program_micros);
 }
 
 class AlignmentMapper : public Mapper {
@@ -124,8 +111,8 @@ class AlignmentMapper : public Mapper {
   PairedAlignerOptions options_;
 };
 
-// Fused rounds 1+2 (streaming): pumps one FASTQ partition through the
-// bounded-queue node graph (align + clean) and emits cleaned records
+// Fused rounds 1+2 (streaming): aligns and cleans one FASTQ partition a
+// batch at a time (RunAlignCleanStream) and emits cleaned records
 // straight into the qname shuffle, so the aligned stage never exists on
 // the DFS. Batch slicing matches AlignPairs' own boundaries, so the
 // shuffled records, and every downstream stage, are byte-identical.
@@ -973,7 +960,6 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
     clean.name = "round1_2_streamed";
     clean.splits = fastq_splits;
     AlignCleanStreamOptions stream;
-    stream.executor = ExecutorOf(config_);
     stream.cancel = config_.cancel;
     stream.clean = true;
     stream.header = &header_;

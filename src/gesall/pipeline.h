@@ -122,12 +122,12 @@ struct PipelineConfig {
   /// scheduling changes. Off by default so seeded chaos runs keep their
   /// historical round ordering.
   bool pipelined = false;
-  /// Fuse rounds 1+2 into one streamed job: every map task pumps its
-  /// FASTQ partition through the bounded-queue node graph of
-  /// pipeline_node.h (FastqSource -> Align -> Clean -> shuffle emit), so
-  /// the aligned stage is never materialized on the DFS. The FASTQ text
-  /// and the parsed reads are O(partition); the aligned and cleaned
-  /// batches in flight are O(queue capacity * batch). Outputs, variant
+  /// Fuse rounds 1+2 into one streamed job: every map task aligns and
+  /// cleans its FASTQ partition one batch at a time and emits each
+  /// batch straight into the round-2 shuffle (RunAlignCleanStream,
+  /// pipeline_node.h), so the aligned stage is never materialized on
+  /// the DFS. The FASTQ text and the parsed reads are O(partition); the
+  /// aligned records held at once are one batch. Outputs, variant
   /// calls, and per-record counters are byte-identical to the barriered
   /// rounds 1+2 (batch boundaries match AlignPairs' own). It seals
   /// round 2 (kRoundCleaning) as "round1_2_streamed"; round 1 has no

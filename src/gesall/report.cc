@@ -144,7 +144,7 @@ Result<DiagnosisReport> GenerateDiagnosisReport(
     md += "## Execution engine\n\n";
     Append(&md, "- mode: %s rounds on the shared work-stealing executor\n",
            ex.streaming
-               ? "streaming (rounds 1+2 fused through bounded-queue nodes)"
+               ? "streaming (rounds 1+2 fused into one batch loop per map task)"
                : ex.pipelined ? "pipelined (per-partition overlap)"
                               : "barriered");
     if (ex.peak_rss_bytes > 0) {

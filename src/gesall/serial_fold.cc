@@ -1,10 +1,9 @@
 // Serial reference pipeline: the wrapped-program chain (Table 2) runs as
-// a list of timed steps, one after another, on a single-worker executor.
-// Each step's wall time is the per-program step_seconds the diagnosis
-// report consumes.
+// a list of timed steps, one after another, on the calling thread. Each
+// step's wall time is the per-program step_seconds the diagnosis report
+// consumes.
 
 #include <functional>
-#include <future>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,8 +13,6 @@
 #include "analysis/recalibration.h"
 #include "analysis/steps.h"
 #include "gesall/pipeline.h"
-#include "gesall/pipeline_node.h"
-#include "util/executor.h"
 #include "util/stopwatch.h"
 
 namespace gesall {
@@ -45,10 +42,6 @@ void GroupByName(std::vector<SamRecord>* records) {
 struct ChainState {
   const ReferenceGenome* reference = nullptr;
   const SerialPipelineConfig* config = nullptr;
-  // The chain's own single-worker executor, set by RunChain before the
-  // first step: the alignment head pumps its NodeGraph on the same
-  // worker the chain occupies.
-  Executor* chain_executor = nullptr;
   SamHeader header;
   std::vector<SamRecord> records;
   std::vector<VariantRecord> variants;
@@ -118,33 +111,17 @@ void AppendTailChain(std::vector<Step>* steps, ChainState* state,
   });
 }
 
-// Runs the steps in order as one task on a private single-worker
-// executor, stopping at the first error, and adds each step's wall time
-// to `timings` under its name (the step_seconds contract). The caller
-// blocks on the task instead of helping, so that one worker alone pumps
-// the alignment head's node graph and every step time is a one-thread
-// time.
-Status RunChain(const std::vector<Step>& steps, ChainState* state,
+// Runs the steps in order on the calling thread, stopping at the first
+// error, and adds each step's wall time to `timings` under its name (the
+// step_seconds contract).
+Status RunChain(const std::vector<Step>& steps,
                 std::map<std::string, double>* timings) {
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
-  // Declared after `done`, so its destructor joins the worker before
-  // the promise the task writes goes away.
-  Executor serial_executor(1);
-  state->chain_executor = &serial_executor;
-  serial_executor.Submit([&steps, timings, &done] {
-    for (const Step& step : steps) {
-      Stopwatch clock;
-      Status status = step.run();
-      if (!status.ok()) {
-        done.set_value(std::move(status));
-        return;
-      }
-      if (timings != nullptr) (*timings)[step.name] += clock.ElapsedSeconds();
-    }
-    done.set_value(Status::OK());
-  });
-  return result.get();
+  for (const Step& step : steps) {
+    Stopwatch clock;
+    GESALL_RETURN_NOT_OK(step.run());
+    if (timings != nullptr) (*timings)[step.name] += clock.ElapsedSeconds();
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -160,29 +137,17 @@ Result<SerialStageOutputs> RunSerialPipeline(
 
   std::vector<Step> steps;
   steps.push_back({"bwa", [&] {
-    // Alignment runs through the same streaming node graph as the fused
-    // distributed round (pipeline_node.h), pumped on the chain's single
-    // worker — outputs are bit-identical to a monolithic AlignPairs,
-    // and every serial run doubles as a liveness check of the graph's
-    // park/wake protocol with no second thread to help.
-    state.header = PairedEndAligner(index, config.aligner).MakeHeader();
-    AlignCleanStreamOptions sopts;
-    sopts.executor = state.chain_executor;
-    sopts.clean = false;
-    AlignCleanStreamStats sstats;
-    GESALL_RETURN_NOT_OK(RunAlignCleanStream(
-        index, config.aligner, interleaved, sopts,
-        [&state](RecordBatch* b) {
-          for (auto& r : b->records) state.records.push_back(std::move(r));
-          return Status::OK();
-        },
-        &sstats));
+    // The monolithic AlignPairs that the fused streamed round is tested
+    // against: one call over the whole sample, batched internally.
+    PairedEndAligner aligner(index, config.aligner);
+    state.header = aligner.MakeHeader();
+    state.records = aligner.AlignPairs(interleaved);
     out.aligned = state.records;
     return Status::OK();
   }});
   AppendTailChain(&steps, &state, /*from_deduped=*/false, &out.cleaned,
                   &out.deduped, &out.header, &out.sorted);
-  GESALL_RETURN_NOT_OK(RunChain(steps, &state, &out.step_seconds));
+  GESALL_RETURN_NOT_OK(RunChain(steps, &out.step_seconds));
   out.variants = std::move(state.variants);
   return out;
 }
@@ -199,7 +164,7 @@ Result<std::vector<VariantRecord>> SerialTailFromAligned(
   std::vector<Step> steps;
   AppendTailChain(&steps, &state, /*from_deduped=*/false, nullptr, nullptr,
                   nullptr, nullptr);
-  GESALL_RETURN_NOT_OK(RunChain(steps, &state, nullptr));
+  GESALL_RETURN_NOT_OK(RunChain(steps, nullptr));
   return std::move(state.variants);
 }
 
@@ -214,7 +179,7 @@ Result<std::vector<VariantRecord>> SerialTailFromDeduped(
   std::vector<Step> steps;
   AppendTailChain(&steps, &state, /*from_deduped=*/true, nullptr, nullptr,
                   nullptr, nullptr);
-  GESALL_RETURN_NOT_OK(RunChain(steps, &state, nullptr));
+  GESALL_RETURN_NOT_OK(RunChain(steps, nullptr));
   return std::move(state.variants);
 }
 

@@ -2,13 +2,14 @@
 //
 // A CancelToken is the one-way edge "this job must stop": the service
 // layer (timeouts, client aborts, drain) flips it once, and every layer
-// underneath — MR task attempts, node-graph pumps, gated splits — polls it
-// at its next safe point and unwinds with StatusCode::kCancelled carrying
-// the recorded cause. Callbacks registered with OnCancel run exactly
-// once, on whichever thread flips the token (or inline when already
-// cancelled), mirroring ReadySignal's contract; they are how gated work
-// that would otherwise wait forever (a ReadySignal that will never fire
-// because the upstream round was cancelled) gets released.
+// underneath — MR task attempts, the fused align+clean batches, gated
+// splits — polls it at its next safe point and unwinds with
+// StatusCode::kCancelled carrying the recorded cause. Callbacks
+// registered with OnCancel run exactly once, on whichever thread flips
+// the token (or inline when already cancelled), mirroring ReadySignal's
+// contract; they are how gated work that would otherwise wait forever
+// (a ReadySignal that will never fire because the upstream round was
+// cancelled) gets released.
 
 #ifndef GESALL_UTIL_CANCEL_H_
 #define GESALL_UTIL_CANCEL_H_

@@ -1,9 +1,9 @@
-// Streaming node-graph tests: the bounded-queue pipeline of
-// pipeline_node.h must produce records bit-identical to the monolithic
-// barriered path, stay live on a single-worker executor, honor
-// backpressure, and unwind cleanly on mid-stream cancellation or sink
-// errors. The suite ends with the end-to-end acceptance comparison:
-// a streaming pipelined run versus the barriered engine.
+// Fused align+clean loop tests: RunAlignCleanStream (pipeline_node.h)
+// must produce records bit-identical to the monolithic barriered path,
+// hand batches to the sink in order, and stop cleanly on mid-stream
+// cancellation or sink errors. The suite ends with the end-to-end
+// acceptance comparison: a streaming pipelined run versus the barriered
+// engine.
 
 #include "gesall/pipeline_node.h"
 
@@ -20,7 +20,6 @@
 #include "gesall/pipeline.h"
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
-#include "util/executor.h"
 
 namespace gesall {
 namespace {
@@ -49,8 +48,8 @@ class PipelineNodeTest : public testing::Test {
     delete ref_;
   }
 
-  // Small batches so the chain pumps many ReadBatches through the
-  // bounded edges instead of one monolithic one.
+  // Small batches so the loop hands many batches to the sink instead of
+  // one monolithic one.
   static PairedAlignerOptions SmallBatches() {
     PairedAlignerOptions opt;
     opt.batch_size = 8;
@@ -135,54 +134,12 @@ TEST_F(PipelineNodeTest, CleanNodeMatchesBarrieredTransforms) {
   EXPECT_EQ(stats.clean_dropped, cs.dropped_invalid);
 }
 
-TEST_F(PipelineNodeTest, LiveOnSingleWorkerExecutor) {
-  // The serial reference chain runs the same graph on one worker: every
-  // park/wake must resolve without a second thread to help.
-  Executor one(1);
-  PairedAlignerOptions aopt = SmallBatches();
-  AlignCleanStreamOptions opts;
-  opts.clean = false;
-  opts.executor = &one;
-  opts.queue_capacity = 1;
-  AlignCleanStreamStats stats;
-  Status status;
-  std::vector<SamRecord> streamed =
-      CollectStream(opts, aopt, &stats, &status);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  PairedEndAligner aligner(*index_, aopt);
-  EXPECT_EQ(streamed, aligner.AlignPairs(*interleaved_));
-}
-
-TEST_F(PipelineNodeTest, BackpressureBoundsQueueDepth) {
-  PairedAlignerOptions aopt = SmallBatches();
-  AlignCleanStreamOptions opts;
-  opts.clean = false;
-  opts.queue_capacity = 1;
-  AlignCleanStreamStats stats;
-  Status status;
-  std::vector<SamRecord> streamed =
-      CollectStream(opts, aopt, &stats, &status);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_FALSE(streamed.empty());
-  ASSERT_FALSE(stats.edges.empty());
-  for (const auto& e : stats.edges) {
-    EXPECT_LE(e.queue.max_depth, 1) << e.name;
-    EXPECT_EQ(e.queue.pushed, e.queue.popped) << e.name;
-  }
-  // Someone parked: with capacity-1 edges the producer and consumer
-  // cannot both run free.
-  int64_t parks = 0;
-  for (const auto& n : stats.nodes) parks += n.parks;
-  EXPECT_GT(parks, 0);
-}
-
 TEST_F(PipelineNodeTest, MidStreamCancelUnwindsCleanly) {
   auto cancel = std::make_shared<CancelToken>();
   PairedAlignerOptions aopt = SmallBatches();
   AlignCleanStreamOptions opts;
   opts.clean = false;
   opts.cancel = cancel;
-  opts.queue_capacity = 1;
   AlignCleanStreamStats stats;
   std::atomic<int> sunk{0};
   Status status = RunAlignCleanStream(
@@ -194,7 +151,7 @@ TEST_F(PipelineNodeTest, MidStreamCancelUnwindsCleanly) {
       &stats);
   ASSERT_TRUE(status.IsCancelled()) << status.ToString();
   EXPECT_NE(status.message().find("test cancel"), std::string::npos);
-  // The graph stopped early: not every batch reached the sink.
+  // The loop stopped early: not every batch reached the sink.
   const int64_t total_batches =
       (static_cast<int64_t>(interleaved_->size()) +
        2 * aopt.batch_size - 1) /
@@ -284,8 +241,18 @@ TEST_F(StreamingPipelineTest, StreamingRunMatchesBarriered) {
   ASSERT_FALSE(stats.empty());
   EXPECT_EQ(stats.front().name, "round1_2_streamed");
   EXPECT_GT(stats.front().counters.Get("stream_batches"), 0);
-  EXPECT_GT(stats.front().counters.Get("stream_node_align_pumps"), 0);
   EXPECT_GT(stats.front().counters.Get("align_kernel_calls"), 0);
+  // Alignment and cleaning are charged to program_micros, as in the
+  // barriered rounds, so most of the fused map tasks' time is attributed.
+  double map_seconds = 0;
+  for (const TaskRecord& task : stats.front().tasks) {
+    if (task.type == TaskRecord::Type::kMap) {
+      map_seconds += task.end_seconds - task.start_seconds;
+    }
+  }
+  ASSERT_GT(map_seconds, 0);
+  EXPECT_GE(static_cast<double>(stats.front().counters.Get("program_micros")),
+            0.5 * map_seconds * 1e6);
   EXPECT_TRUE(streaming.pipeline->SummarizeExecution().streaming);
   EXPECT_FALSE(barriered.pipeline->SummarizeExecution().streaming);
   EXPECT_GT(streaming.pipeline->SummarizeExecution().peak_rss_bytes, 0);

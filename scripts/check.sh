@@ -15,7 +15,8 @@
 # The sanitizer builds live in build-asan/, build-ubsan/ and
 # build-tsan/ so they never pollute the regular build directory, and
 # only build the suites that exercise the risky machinery.
-#   - ASan (mr_test, util_test, align_test, dfs_test, service_test):
+#   - ASan (mr_test, util_test, align_test, dfs_test, service_test,
+#     formats_test):
 #     arena lifetime bugs — views outliving a spill, combiner emits into
 #     a moved arena — are exactly what ASan catches and what the plain
 #     build can silently survive; the banded SIMD aligner's
@@ -30,12 +31,17 @@
 #     shuffle_compression_test), and compressed DFS parts under
 #     quarantine/repair and crash-restart (dfs_test
 #     dfs_compression_test) are all scratch-buffer-reuse machinery
-#     where an overread is silent without ASan.
-#   - UBSan (dfs_test, mr_test, align_test): the integrity layer's
-#     checksum kernels (unaligned word loads, table folds, shift
-#     combines), the fault-injection arithmetic, and the 16-bit
-#     saturating DP arithmetic must be free of undefined behavior, or
-#     corruption detection itself can't be trusted.
+#     where an overread is silent without ASan. The split-block decoder
+#     (util_test's hostile split payloads) and the BAM record parser
+#     with its block builder (formats_test: bam_test, bam_fuzz_test)
+#     copy spans at offsets read from disk.
+#   - UBSan (dfs_test, mr_test, align_test, util_test, formats_test):
+#     the integrity layer's checksum kernels (unaligned word loads,
+#     table folds, shift combines), the fault-injection arithmetic, the
+#     16-bit saturating DP arithmetic, and the split-block decoder's
+#     varint and offset arithmetic on bytes read from disk must be free
+#     of undefined behavior, or corruption detection itself can't be
+#     trusted.
 #   - TSan (util_test, mr_test, service_test, dfs_test, plus the
 #     streaming, schedule and serial-oracle suites): the work-stealing
 #     executor (per-worker deques, steal-half transfers, TaskGroup
@@ -83,24 +89,28 @@ cmake --build build/e2e -j
 ctest --test-dir build/e2e --output-on-failure
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "=== asan: shuffle engine + aligner + durability suites ==="
+  echo "=== asan: shuffle engine + aligner + durability + decoder suites ==="
   cmake -B build-asan -S . -DGESALL_SANITIZE=address
   cmake --build build-asan -j --target mr_test util_test align_test \
-    dfs_test service_test
+    dfs_test service_test formats_test
   ./build-asan/tests/mr_test
   ./build-asan/tests/util_test
   ./build-asan/tests/align_test
   ./build-asan/tests/dfs_test
   ./build-asan/tests/service_test
+  ./build-asan/tests/formats_test
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then
-  echo "=== ubsan: integrity + failure-model + aligner suites ==="
+  echo "=== ubsan: integrity + failure-model + aligner + decoder suites ==="
   cmake -B build-ubsan -S . -DGESALL_SANITIZE=undefined
-  cmake --build build-ubsan -j --target dfs_test mr_test align_test
+  cmake --build build-ubsan -j --target dfs_test mr_test align_test \
+    util_test formats_test
   ./build-ubsan/tests/dfs_test
   ./build-ubsan/tests/mr_test
   ./build-ubsan/tests/align_test
+  ./build-ubsan/tests/util_test
+  ./build-ubsan/tests/formats_test
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -44,13 +44,10 @@ Result<int64_t> FindChunkBoundary(const Dfs& dfs, const std::string& path,
     GESALL_ASSIGN_OR_RETURN(std::string window,
                             dfs.ReadRange(path, base, take));
     for (size_t i = 0; i + kBgzfHeaderSize <= window.size(); ++i) {
-      // Either codec method ('1' deflate, '0' stored fallback) starts a
-      // valid chunk.
-      if (window.compare(i, 3, "GBZ") != 0 ||
-          (window[i + 3] != '1' && window[i + 3] != '0')) {
-        continue;
-      }
-      auto size = BgzfPeekBlockSize(std::string_view(window).substr(i));
+      // The codec alone knows which method bytes start a chunk.
+      const std::string_view at = std::string_view(window).substr(i);
+      if (!BgzfHasBlockMagic(at)) continue;
+      auto size = BgzfPeekBlockSize(at);
       if (!size.ok()) continue;
       int64_t candidate = base + static_cast<int64_t>(i);
       if (candidate + static_cast<int64_t>(size.ValueOrDie()) > file_size) {

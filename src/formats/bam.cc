@@ -24,6 +24,18 @@ Result<std::string> HeaderChunk(const SamHeader& header) {
   }
   return chunk;
 }
+
+// Where rec's quality string starts in its EncodeBamRecord bytes: past
+// the fixed-width fields and the length-prefixed strings before it.
+size_t QualOffset(const SamRecord& rec) {
+  return 4 +                        // record length
+         4 + rec.qname.size() +     // qname
+         2 + 4 + 8 + 1 +            // flag, ref_id, pos, mapq
+         2 + 5 * rec.cigar.size() + // cigar ops
+         4 + 8 + 8 +                // mate_ref_id, mate_pos, tlen
+         4 + rec.seq.size() +       // seq
+         4;                         // qual's length prefix
+}
 }  // namespace
 
 std::string EncodeBamRecord(const SamRecord& rec) {
@@ -109,53 +121,25 @@ Result<SamRecord> DecodeBamRecord(std::string_view data, size_t* offset) {
   return rec;
 }
 
-Status BamWriter::WriteHeader(const SamHeader& header) {
-  if (header_written_) return Status::InvalidArgument("header already written");
-  GESALL_ASSIGN_OR_RETURN(std::string block, HeaderChunk(header));
-  GESALL_RETURN_NOT_OK(bgzf_.Append(block));
-  GESALL_RETURN_NOT_OK(bgzf_.Flush());  // header gets its own block
-  header_written_ = true;
-  return Status::OK();
-}
-
-Status BamWriter::WriteRecord(const SamRecord& rec) {
-  if (!header_written_) return Status::InvalidArgument("header not written");
-  std::string encoded = EncodeBamRecord(rec);
-  if (encoded.size() > kBgzfBlockSize) {
-    return Status::InvalidArgument("BAM record exceeds one BGZF block");
-  }
-  // Keep records whole within a chunk so DFS splits decode independently.
-  uint64_t intra = bgzf_.Tell() & 0xffff;
-  if (intra + encoded.size() > kBgzfBlockSize) {
-    GESALL_RETURN_NOT_OK(bgzf_.Flush());
-  }
-  return bgzf_.Append(encoded);
-}
-
-Status BamWriter::Finish() { return bgzf_.Flush(); }
-
 Result<std::string> WriteBam(const SamHeader& header,
                              const std::vector<SamRecord>& records) {
-  std::string out;
-  BamWriter writer(&out);
-  GESALL_RETURN_NOT_OK(writer.WriteHeader(header));
-  for (const auto& r : records) {
-    GESALL_RETURN_NOT_OK(writer.WriteRecord(r));
-  }
-  GESALL_RETURN_NOT_OK(writer.Finish());
-  return out;
+  std::vector<std::string> values;
+  values.reserve(records.size());
+  for (const auto& r : records) values.push_back(EncodeBamRecord(r));
+  return BuildBamPartition(header, values, nullptr);
 }
 
 Result<std::string> BuildBamPartition(const SamHeader& header,
                                       const std::vector<std::string>& records,
                                       Executor* executor) {
   // Raw bytes not yet deflated and where each chunk starts in them; the
-  // last start opens the chunk being filled. The header is the first
-  // chunk. Record chunks are cut where BamWriter flushes: before a record
-  // that would overflow the block, and after one that fills it exactly
-  // (BgzfWriter::Append flushes a full block).
+  // last start opens the chunk being filled, and spans[i] lists chunk
+  // i's quality strings. The header is the first chunk. Record chunks
+  // are cut before a record that would overflow the block, and after
+  // one that fills it exactly.
   GESALL_ASSIGN_OR_RETURN(std::string pending, HeaderChunk(header));
   std::vector<size_t> starts = {0, pending.size()};
+  std::vector<std::vector<BgzfSpan>> spans(2);
   std::string bam;
   // Deflates the chunks before starts[upto] and drops their bytes.
   auto deflate = [&](size_t upto) -> Status {
@@ -164,15 +148,19 @@ Result<std::string> BuildBamPartition(const SamHeader& header,
       chunks.push_back(std::string_view(pending).substr(
           starts[i], starts[i + 1] - starts[i]));
     }
-    GESALL_RETURN_NOT_OK(
-        BgzfCompressChunks(chunks, kBgzfDefaultLevel, executor, &bam));
+    std::vector<std::vector<BgzfSpan>> done(
+        std::make_move_iterator(spans.begin()),
+        std::make_move_iterator(spans.begin() + upto));
+    GESALL_RETURN_NOT_OK(BgzfCompressChunks(chunks, kBgzfDefaultLevel,
+                                            executor, &bam, nullptr, &done));
     pending.erase(0, starts[upto]);
     starts = {0};
+    spans.erase(spans.begin(), spans.begin() + upto);
     return Status::OK();
   };
   for (const auto& v : records) {
     size_t consumed = 0;
-    GESALL_RETURN_NOT_OK(DecodeBamRecord(v, &consumed).status());
+    GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &consumed));
     if (consumed != v.size()) {
       return Status::Corruption("BAM record value carries " +
                                 std::to_string(v.size() - consumed) +
@@ -183,10 +171,16 @@ Result<std::string> BuildBamPartition(const SamHeader& header,
     }
     if (pending.size() - starts.back() + v.size() > kBgzfBlockSize) {
       starts.push_back(pending.size());
+      spans.emplace_back();
     }
+    spans.back().push_back(
+        {static_cast<uint32_t>(pending.size() - starts.back() +
+                               QualOffset(rec)),
+         static_cast<uint32_t>(rec.qual.size())});
     pending.append(v);
     if (pending.size() - starts.back() == kBgzfBlockSize) {
       starts.push_back(pending.size());
+      spans.emplace_back();
     }
     // Deflating a bounded window of finished chunks at a time caps the
     // raw copy at a few blocks, however large the partition.

@@ -1,12 +1,18 @@
 // BAM: binary, compressed SAM over BGZF blocks (paper §3.1).
 //
-// Layout: the serialized header occupies its own leading BGZF block(s)
-// (the writer flushes after the header), followed by record blocks. The
-// writer also flushes before a record that would straddle a block, so
-// every BGZF chunk after the header contains whole records. This is the
+// Layout: the serialized header occupies its own leading BGZF block,
+// followed by record blocks. A record chunk is cut before a record that
+// would straddle a block and after one that fills it exactly, so every
+// BGZF chunk after the header contains whole records. This is the
 // property Gesall's storage substrate exploits: a DFS split that starts at
 // a chunk boundary can be decoded into a valid record stream after
 // fetching the header from the file's first chunk.
+//
+// BuildBamPartition is the one block writer; WriteBam encodes records
+// and hands them to it. Each record's quality string is a span of a
+// split block (util/bgzf.h): qualities are Huffman-coded apart from the
+// rest of the record, which deflates at the BAM level. A split block
+// inflates to the same chunk, so readers never see the difference.
 
 #ifndef GESALL_FORMATS_BAM_H_
 #define GESALL_FORMATS_BAM_H_
@@ -30,34 +36,17 @@ std::string EncodeBamRecord(const SamRecord& rec);
 /// do not (a body with unparsed trailing bytes).
 Result<SamRecord> DecodeBamRecord(std::string_view data, size_t* offset);
 
-/// \brief Streaming BAM writer: header first, then records, chunk-aligned.
-class BamWriter {
- public:
-  explicit BamWriter(std::string* out) : out_(out), bgzf_(out) {}
-
-  /// Must be called exactly once, before any record.
-  Status WriteHeader(const SamHeader& header);
-
-  Status WriteRecord(const SamRecord& rec);
-
-  /// Flushes the trailing partial block. Must be called last.
-  Status Finish();
-
- private:
-  std::string* out_;
-  BgzfWriter bgzf_;
-  bool header_written_ = false;
-};
-
-/// Serializes a complete BAM file in one call.
+/// Serializes a complete BAM file in one call: EncodeBamRecord on every
+/// record, then BuildBamPartition on the calling thread.
 Result<std::string> WriteBam(const SamHeader& header,
                              const std::vector<SamRecord>& records);
 
 /// \brief Builds a complete BAM file from records already in
-/// EncodeBamRecord form (a reducer's output values), byte-identical to
-/// WriteBam on the decoded records. Each value must hold exactly one
-/// well-formed record, else Corruption; it is copied as is, never
-/// re-encoded. Chunks are cut where BamWriter flushes and deflated by
+/// EncodeBamRecord form (a reducer's output values). Each value must
+/// hold exactly one well-formed record, else Corruption; it is copied as
+/// is, never re-encoded. The header is the first chunk; record chunks
+/// are cut as the file comment says, and each is one split block with
+/// its records' quality strings as spans, deflated by
 /// BgzfCompressChunks on `executor` (null: the calling thread).
 Result<std::string> BuildBamPartition(const SamHeader& header,
                                       const std::vector<std::string>& records,

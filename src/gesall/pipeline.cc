@@ -257,6 +257,7 @@ class BloomMapper : public Mapper {
  public:
   Status Map(const std::string& input, MapContext* ctx) override {
     GESALL_ASSIGN_OR_RETURN(auto dataset, BamToDataset(input, ctx));
+    CounterTimer timer(ctx, kProgramMicros);
     BloomFilter filter(kBloomExpectedItems, kBloomFpr);
     auto& records = dataset.second;
     for (size_t i = 0; i + 1 < records.size(); i += 2) {
@@ -280,6 +281,8 @@ class MarkDupMapper : public Mapper {
 
   Status Map(const std::string& input, MapContext* ctx) override {
     GESALL_ASSIGN_OR_RETURN(auto dataset, BamToDataset(input, ctx));
+    // Key extraction and value encoding, as SortMapper's emit loop.
+    CounterTimer timer(ctx, kTransformMicros);
     auto& records = dataset.second;
     // Map-side filter: one representative per 5' end per mapper.
     std::set<ReadEndKey> emitted_ends;

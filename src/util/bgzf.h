@@ -7,17 +7,29 @@
 //
 //   magic "GBZ" | method | u32 compressed_size | u32 uncompressed_size | payload
 //
-// where method '1' deflates the payload via zlib and method '0' stores it
-// verbatim — the incompressible-block fallback, chosen automatically when
-// deflate would not shrink the payload (real BGZF burns cycles on such
-// blocks; we skip them and keep decode a memcpy). Virtual offsets pack
-// (block file offset << 16 | intra-block offset) exactly like samtools.
+// with one of three methods:
+//   '1' deflate: the payload is one zlib stream at the writer's level.
+//   '0' stored:  the payload is the raw bytes verbatim — the
+//       incompressible-block fallback, chosen automatically when the
+//       coded payload would not shrink the chunk (real BGZF burns cycles
+//       on such blocks; we skip them and keep decode a memcpy).
+//   '2' split:   the caller names spans of the chunk (BAM: each record's
+//       quality string) that LZ matching cannot shorten. The payload is
+//         u32 main_raw | u32 side_raw | u32 main_csize | main | side
+//       where `main` deflates, at the writer's level, a varint span
+//       count, varint (gap, length) pairs and then the bytes outside
+//       the spans in order, and `side` codes the bytes inside the spans
+//       Huffman-only (Z_HUFFMAN_ONLY). It inflates to exactly the chunk.
+// Every decoder below handles all three, so callers never see a method.
+// Virtual offsets pack (block file offset << 16 | intra-block offset)
+// exactly like samtools.
 //
 // The codec is the storage substrate for every compressed byte path:
 // DFS intermediate parts (DfsOptions::compress_parts), shuffle spill runs
-// (JobConfig::compress_shuffle), and the BAM container itself. All of
-// them share the zlib-level knob and the per-writer BgzfCodecStats that
-// feed the raw-vs-compressed disk-byte counters.
+// (JobConfig::compress_shuffle), and the BAM container itself (the only
+// writer of split blocks). All of them share the zlib-level knob and the
+// per-writer BgzfCodecStats that feed the raw-vs-compressed disk-byte
+// counters.
 
 #ifndef GESALL_UTIL_BGZF_H_
 #define GESALL_UTIL_BGZF_H_
@@ -48,6 +60,14 @@ struct BgzfBlockInfo {
   size_t block_size = 0;  // total on-disk size (header + payload)
   size_t raw_size = 0;    // uncompressed payload size
   bool stored = false;    // method '0': payload stored verbatim
+  bool split = false;     // method '2': main and side streams
+};
+
+/// \brief Bytes [offset, offset + length) of one chunk, coded in a split
+/// block's side stream.
+struct BgzfSpan {
+  uint32_t offset = 0;
+  uint32_t length = 0;
 };
 
 /// \brief Cumulative codec accounting of one writer (or one range read).
@@ -65,6 +85,15 @@ struct BgzfCodecStats {
 Result<std::string> BgzfCompressBlock(std::string_view data,
                                       int level = kBgzfDefaultLevel);
 
+/// \brief Compresses `data` into one split block (method '2') whose side
+/// stream holds the bytes inside `spans` (sorted, disjoint, inside
+/// `data`; empty spans are skipped), else InvalidArgument. Without a
+/// non-empty span, or at level 0, this is BgzfCompressBlock. Falls back
+/// to a stored block when the split payload does not shrink `data`.
+Result<std::string> BgzfCompressSplitBlock(std::string_view data,
+                                           const std::vector<BgzfSpan>& spans,
+                                           int level = kBgzfDefaultLevel);
+
 /// Chunk counts below this deflate on the calling thread, the same
 /// cutoff as the DFS's parallel checksums: an input of a few blocks
 /// gains little from fanning out, so small jobs' partitions stay on the
@@ -81,9 +110,12 @@ inline constexpr size_t kBgzfMinParallelChunks = 4;
 /// from inside an executor task); otherwise on the calling thread.
 /// `stats`, when non-null, accumulates as BgzfWriter::stats() does, with
 /// compress_micros summed over the blocks (cpu time, not wall time).
-Status BgzfCompressChunks(const std::vector<std::string_view>& chunks,
-                          int level, Executor* executor, std::string* out,
-                          BgzfCodecStats* stats = nullptr);
+/// `spans`, when non-null, holds one span list per chunk, and each block
+/// goes through BgzfCompressSplitBlock instead.
+Status BgzfCompressChunks(
+    const std::vector<std::string_view>& chunks, int level,
+    Executor* executor, std::string* out, BgzfCodecStats* stats = nullptr,
+    const std::vector<std::vector<BgzfSpan>>* spans = nullptr);
 
 /// \brief Decompresses exactly one block starting at `data`.
 /// On success sets `*consumed` to the block's total on-disk size.
@@ -93,9 +125,17 @@ Result<std::string> BgzfDecompressBlock(std::string_view data,
 /// \brief Scratch-reuse decode: decompresses the block starting at `data`
 /// into `*out` (replacing its contents, keeping its capacity).
 /// `file_offset` is the block's position in the enclosing stream, used
-/// only for error context; zlib failures surface as Corruption naming it.
+/// only for error context; zlib failures and split blocks whose stream
+/// sizes or span table disagree surface as Corruption naming it. Sizes
+/// a split payload declares are checked against the block's raw size
+/// before anything is allocated.
 Status BgzfDecompressBlockInto(std::string_view data, size_t file_offset,
                                std::string* out, size_t* consumed);
+
+/// \brief True when `data` starts with a block magic and a method byte
+/// this codec decodes: the allocation-free filter of a boundary scan,
+/// and the same check BgzfPeekBlock applies.
+bool BgzfHasBlockMagic(std::string_view data);
 
 /// \brief Returns the total on-disk size of the block starting at `data`,
 /// without decompressing. Fails if `data` is shorter than a header.

@@ -1,6 +1,7 @@
 #include "formats/bam.h"
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include "util/executor.h"
 #include "util/io.h"
@@ -126,20 +127,6 @@ TEST(BamFileTest, EmptyFileRoundTrip) {
   EXPECT_TRUE(pr.empty());
 }
 
-TEST(BamWriterTest, RecordBeforeHeaderRejected) {
-  std::string out;
-  BamWriter w(&out);
-  SamRecord r;
-  EXPECT_TRUE(w.WriteRecord(r).IsInvalidArgument());
-}
-
-TEST(BamWriterTest, DoubleHeaderRejected) {
-  std::string out;
-  BamWriter w(&out);
-  ASSERT_TRUE(w.WriteHeader(TestHeader()).ok());
-  EXPECT_TRUE(w.WriteHeader(TestHeader()).IsInvalidArgument());
-}
-
 TEST(BamFileTest, CorruptMagicRejected) {
   auto bam = WriteBam(TestHeader(), {}).ValueOrDie();
   // Corrupt the decompressed magic by re-compressing junk as first block.
@@ -160,18 +147,15 @@ TEST(BamRecordCodecTest, BodyWithUnparsedBytesRejected) {
   EXPECT_TRUE(DecodeBamRecord(bad, &offset).status().IsCorruption());
 }
 
-// The partition builder must reproduce WriteBam byte for byte, including
-// the cut after a record that ends exactly at the 64 KiB block boundary.
-TEST(BamPartitionTest, MatchesWriteBam) {
-  Rng rng(7);
-  const SamHeader h = TestHeader();
+// Records whose first record chunk ends exactly at the 64 KiB cut,
+// followed by `tail` ordinary records.
+std::vector<SamRecord> RecordsFillingFirstChunk(Rng& rng, int tail) {
   std::vector<SamRecord> records;
   size_t filled = 0;
   while (filled + 2000 < kBgzfBlockSize) {
     records.push_back(MakeRecord(rng, static_cast<int>(records.size())));
     filled += EncodeBamRecord(records.back()).size();
   }
-  // Size one record so the first record chunk ends exactly at the cut.
   SamRecord pad = MakeRecord(rng, static_cast<int>(records.size()));
   pad.seq.clear();
   pad.qual.clear();
@@ -183,27 +167,134 @@ TEST(BamPartitionTest, MatchesWriteBam) {
   pad.seq.assign(gap / 2, 'A');
   pad.qual.assign(gap / 2, 'I');
   records.push_back(pad);
-  ASSERT_EQ(filled + EncodeBamRecord(pad).size(), kBgzfBlockSize);
-  for (int i = 0; i < 1500; ++i) records.push_back(MakeRecord(rng, 5000 + i));
+  EXPECT_EQ(filled + EncodeBamRecord(pad).size(), kBgzfBlockSize);
+  for (int i = 0; i < tail; ++i) records.push_back(MakeRecord(rng, 5000 + i));
+  return records;
+}
 
+// Every block of `bam`, inflated.
+std::vector<std::string> InflatedBlocks(std::string_view bam) {
+  std::vector<std::string> out;
+  const auto blocks = BgzfListBlocks(bam).ValueOrDie();
+  for (const auto& [offset, size] : blocks) {
+    out.push_back(
+        BgzfDecompressBlock(bam.substr(offset, size), nullptr).ValueOrDie());
+  }
+  return out;
+}
+
+// The cut rule written out apart from BuildBamPartition, one chunk per
+// block: the header chunk (magic, then the header text), then records
+// cut before one that would overflow 64 KiB and after one that fills it
+// exactly.
+std::vector<std::string> ReferenceChunks(const SamHeader& h,
+                                         const std::vector<std::string>& values) {
+  std::string header_chunk = "GBAM";
+  BufferWriter(&header_chunk).PutString(WriteSamHeader(h));
+  std::vector<std::string> chunks = {header_chunk, ""};
+  for (const auto& v : values) {
+    if (chunks.back().size() + v.size() > kBgzfBlockSize) chunks.emplace_back();
+    chunks.back() += v;
+    if (chunks.back().size() == kBgzfBlockSize) chunks.emplace_back();
+  }
+  if (chunks.back().empty()) chunks.pop_back();
+  return chunks;
+}
+
+// The cut rule, checked on the inflated blocks: the header chunk stands
+// alone, every record chunk holds whole records, a chunk is cut after a
+// record that ends exactly at 64 KiB, and no chunk could have taken the
+// next record. The bytes do not depend on the executor.
+TEST(BamPartitionTest, CutRuleHoldsOnInflatedBlocks) {
+  Rng rng(7);
+  const SamHeader h = TestHeader();
+  const std::vector<SamRecord> records = RecordsFillingFirstChunk(rng, 1500);
   std::vector<std::string> values;
   for (const auto& r : records) values.push_back(EncodeBamRecord(r));
-  const std::string want = WriteBam(h, records).ValueOrDie();
-  const auto blocks = BgzfListBlocks(want).ValueOrDie();
-  ASSERT_GT(blocks.size(), 3u);
-  EXPECT_EQ(BgzfPeekBlock(std::string_view(want).substr(blocks[1].first))
-                .ValueOrDie()
-                .raw_size,
-            kBgzfBlockSize);
-
+  const std::string bam = BuildBamPartition(h, values, nullptr).ValueOrDie();
   Executor executor(3);
-  for (Executor* ex : {static_cast<Executor*>(nullptr), &executor}) {
-    auto got = BuildBamPartition(h, values, ex);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got.ValueOrDie() == want);
+  EXPECT_TRUE(BuildBamPartition(h, values, &executor).ValueOrDie() == bam);
+  EXPECT_TRUE(WriteBam(h, records).ValueOrDie() == bam);
+
+  const std::vector<std::string> blocks = InflatedBlocks(bam);
+  ASSERT_GT(blocks.size(), 3u);
+  const std::string header_chunk = ReferenceChunks(h, {})[0];
+  EXPECT_EQ(blocks[0], header_chunk);
+
+  size_t next = 0;  // index of the next record expected
+  for (size_t b = 1; b < blocks.size(); ++b) {
+    size_t offset = 0;
+    while (offset < blocks[b].size()) {
+      auto rec = DecodeBamRecord(blocks[b], &offset);
+      ASSERT_TRUE(rec.ok()) << "block " << b << ": " << rec.status().ToString();
+      ASSERT_LT(next, records.size());
+      EXPECT_EQ(rec.ValueOrDie(), records[next]) << "block " << b;
+      ++next;
+    }
+    if (b + 1 < blocks.size()) {
+      ASSERT_LT(next, values.size()) << "records left over for block " << b;
+      EXPECT_GT(blocks[b].size() + values[next].size(), kBgzfBlockSize)
+          << "block " << b << " could have taken record " << next;
+    }
+    if (b == 1) {
+      EXPECT_EQ(blocks[b].size(), kBgzfBlockSize);
+      EXPECT_EQ(next, records.size() - 1500) << "cut after the pad record";
+    }
   }
-  EXPECT_EQ(BuildBamPartition(h, {}, &executor).ValueOrDie(),
-            WriteBam(h, {}).ValueOrDie());
+  EXPECT_EQ(next, records.size());
+  EXPECT_EQ(InflatedBlocks(BuildBamPartition(h, {}, &executor).ValueOrDie()),
+            std::vector<std::string>{header_chunk});
+}
+
+// A split block codes the same chunk: every block inflates to exactly
+// its ReferenceChunks chunk, record blocks are split blocks whose side
+// stream holds exactly their records' quality strings, and the header
+// block is not.
+TEST(BamPartitionTest, BlocksInflateToReferenceChunks) {
+  Rng rng(10);
+  const SamHeader h = TestHeader();
+  for (int tail : {0, 1, 3000}) {
+    std::vector<SamRecord> records = RecordsFillingFirstChunk(rng, tail);
+    for (size_t i = 0; i < records.size(); i += 7) {
+      records[i].seq.clear();  // records with no quality string
+      records[i].qual.clear();
+    }
+    std::vector<std::string> values;
+    for (const auto& r : records) values.push_back(EncodeBamRecord(r));
+    const std::string bam = WriteBam(h, records).ValueOrDie();
+    EXPECT_EQ(InflatedBlocks(bam), ReferenceChunks(h, values)) << tail;
+
+    const auto blocks = BgzfListBlocks(bam).ValueOrDie();
+    EXPECT_FALSE(BgzfPeekBlock(bam).ValueOrDie().split);
+    size_t next = 0;
+    for (size_t b = 1; b < blocks.size(); ++b) {
+      const std::string_view block =
+          std::string_view(bam).substr(blocks[b].first, blocks[b].second);
+      ASSERT_TRUE(BgzfPeekBlock(block).ValueOrDie().split) << b;
+      std::string quals;
+      const size_t raw = BgzfPeekBlock(block).ValueOrDie().raw_size;
+      for (size_t used = 0; used < raw; used += values[next++].size()) {
+        quals += records[next].qual;
+      }
+      // The payload's side_raw field, then its side stream.
+      BufferReader r(block.substr(kBgzfHeaderSize));
+      uint32_t main_raw = 0, side_raw = 0, main_csize = 0;
+      ASSERT_TRUE(r.GetU32(&main_raw).ok());
+      ASSERT_TRUE(r.GetU32(&side_raw).ok());
+      ASSERT_TRUE(r.GetU32(&main_csize).ok());
+      ASSERT_EQ(side_raw, quals.size()) << b;
+      const std::string_view side =
+          block.substr(kBgzfHeaderSize + 12 + main_csize);
+      std::string inflated(side_raw, '\0');
+      uLongf n = side_raw;
+      ASSERT_EQ(uncompress(reinterpret_cast<Bytef*>(inflated.data()), &n,
+                           reinterpret_cast<const Bytef*>(side.data()),
+                           static_cast<uLong>(side.size())),
+                Z_OK);
+      EXPECT_EQ(inflated, quals) << b;
+    }
+    EXPECT_EQ(next, records.size());
+  }
 }
 
 // Reduce values are copied into the BAM as they are, so each must be

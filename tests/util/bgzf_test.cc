@@ -1,6 +1,7 @@
 #include "util/bgzf.h"
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include "util/executor.h"
 #include "util/io.h"
@@ -13,6 +14,39 @@ std::string RandomBytes(Rng& rng, size_t n) {
   std::string s(n, '\0');
   for (auto& c : s) c = static_cast<char>(rng.Uniform(256));
   return s;
+}
+
+std::string Bases(Rng& rng, size_t n) {
+  std::string s(n, '\0');
+  for (auto& c : s) c = "ACGT"[rng.Uniform(4)];
+  return s;
+}
+
+// A BAM-shaped chunk of at most `limit` bytes: records of fixed-width
+// fields, a name, a sequence and a quality string, with each quality
+// string listed in `*spans` (some records carry none).
+std::string BamShapedChunk(Rng& rng, size_t limit,
+                           std::vector<BgzfSpan>* spans) {
+  std::string chunk;
+  while (true) {
+    const size_t n = rng.Uniform(4) == 0 ? 0 : 50 + rng.Uniform(100);
+    std::string record;
+    BufferWriter w(&record);
+    w.PutString("read" + std::to_string(rng.Uniform(1 << 20)));
+    w.PutU16(static_cast<uint16_t>(rng.Uniform(4096)));
+    w.PutI64(static_cast<int64_t>(rng.Uniform(1 << 20)));
+    w.PutString(Bases(rng, n));
+    w.PutU32(static_cast<uint32_t>(n));
+    const size_t qual = record.size();
+    for (size_t i = 0; i < n; ++i) {
+      record.push_back(static_cast<char>(33 + rng.Uniform(40)));
+    }
+    w.PutString("RG:Z:sample");
+    if (chunk.size() + record.size() > limit) return chunk;
+    spans->push_back({static_cast<uint32_t>(chunk.size() + qual),
+                      static_cast<uint32_t>(n)});
+    chunk += record;
+  }
 }
 
 TEST(BgzfTest, SingleBlockRoundTrip) {
@@ -280,12 +314,278 @@ TEST(BgzfTest, RandomizedTornAndCorruptBlocksFailCleanly) {
     // The block walk itself must also fail cleanly or terminate.
     (void)BgzfListBlocks(mutated);
   }
+
+  // The same sweep over BAM-shaped chunks with quality-string spans,
+  // coded as split blocks, plus lies in a split payload's size table.
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::string> owned;
+    std::vector<std::vector<BgzfSpan>> spans;
+    std::string payload;
+    for (size_t c = 0, n = 1 + rng.Uniform(3); c < n; ++c) {
+      spans.emplace_back();
+      owned.push_back(
+          BamShapedChunk(rng, 1 + rng.Uniform(kBgzfBlockSize), &spans.back()));
+      payload += owned.back();
+    }
+    const std::vector<std::string_view> chunks(owned.begin(), owned.end());
+    std::string compressed;
+    ASSERT_TRUE(BgzfCompressChunks(chunks, kBgzfDefaultLevel, nullptr,
+                                   &compressed, nullptr, &spans)
+                    .ok());
+    const auto blocks = BgzfListBlocks(compressed).ValueOrDie();
+    const auto [at, size] = blocks[rng.Uniform(blocks.size())];
+
+    std::string mutated = compressed;
+    const int kind = static_cast<int>(rng.Uniform(4));
+    if (kind == 0) {
+      mutated[at + rng.Uniform(kBgzfHeaderSize)] ^=
+          static_cast<char>(1 << rng.Uniform(8));
+    } else if (kind == 1) {
+      const size_t pos = at + kBgzfHeaderSize +
+                         rng.Uniform(size - kBgzfHeaderSize);
+      mutated[pos] ^= static_cast<char>(1 << rng.Uniform(8));
+    } else if (kind == 2) {
+      mutated.resize(rng.Uniform(static_cast<uint32_t>(mutated.size())));
+    } else if (BgzfPeekBlock(std::string_view(compressed).substr(at))
+                   .ValueOrDie()
+                   .split) {
+      // Lie in main_raw, side_raw or main_csize: a near miss or junk.
+      const size_t field = at + kBgzfHeaderSize + 4 * rng.Uniform(3);
+      uint32_t value = 0;
+      std::memcpy(&value, mutated.data() + field, 4);
+      value = rng.Uniform(2) == 0 ? value + rng.Uniform(9) - 4
+                                  : static_cast<uint32_t>(rng.Next());
+      std::memcpy(mutated.data() + field, &value, 4);
+    }
+    if (mutated == compressed) continue;
+
+    std::string out;
+    Status st = BgzfReadRange(mutated, 0, payload.size(), &out);
+    EXPECT_TRUE(!st.ok() || out != payload)
+        << "split trial " << trial << " kind " << kind
+        << ": mutation survived decode byte-identically";
+    (void)BgzfListBlocks(mutated);
+  }
 }
 
-std::string Bases(Rng& rng, size_t n) {
-  std::string s(n, '\0');
-  for (auto& c : s) c = "ACGT"[rng.Uniform(4)];
-  return s;
+TEST(BgzfTest, SplitBlockRoundTripsBamShapedChunks) {
+  Rng rng(22);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<BgzfSpan> spans;
+    const std::string chunk =
+        BamShapedChunk(rng, 1 + rng.Uniform(kBgzfBlockSize), &spans);
+    for (int level : {-1, 1, 9}) {
+      const std::string block =
+          BgzfCompressSplitBlock(chunk, spans, level).ValueOrDie();
+      const BgzfBlockInfo info = BgzfPeekBlock(block).ValueOrDie();
+      EXPECT_TRUE(info.split || info.stored) << trial;
+      EXPECT_EQ(info.raw_size, chunk.size());
+      EXPECT_EQ(BgzfDecompressBlock(block, nullptr).ValueOrDie(), chunk)
+          << "trial " << trial << " level " << level;
+    }
+  }
+  // A whole chunk of qualities codes as split, and smaller than plain.
+  std::vector<BgzfSpan> spans;
+  const std::string chunk = BamShapedChunk(rng, kBgzfBlockSize, &spans);
+  const std::string split = BgzfCompressSplitBlock(chunk, spans).ValueOrDie();
+  EXPECT_TRUE(BgzfPeekBlock(split).ValueOrDie().split);
+  EXPECT_TRUE(BgzfHasBlockMagic(split));
+  EXPECT_LT(split.size(), BgzfCompressBlock(chunk).ValueOrDie().size());
+  // Without a non-empty span, or at level 0, it is the plain codec.
+  EXPECT_EQ(BgzfCompressSplitBlock(chunk, {}).ValueOrDie(),
+            BgzfCompressBlock(chunk).ValueOrDie());
+  EXPECT_EQ(BgzfCompressSplitBlock(chunk, {{10, 0}, {20, 0}}).ValueOrDie(),
+            BgzfCompressBlock(chunk).ValueOrDie());
+  EXPECT_EQ(BgzfCompressSplitBlock(chunk, spans, 0).ValueOrDie(),
+            BgzfCompressBlock(chunk, 0).ValueOrDie());
+  // Incompressible spans and gaps fall back to a stored block.
+  const std::string noise = RandomBytes(rng, 4096);
+  const std::string stored =
+      BgzfCompressSplitBlock(noise, {{100, 1000}, {2000, 5}}).ValueOrDie();
+  EXPECT_TRUE(BgzfPeekBlock(stored).ValueOrDie().stored);
+  EXPECT_EQ(BgzfDecompressBlock(stored, nullptr).ValueOrDie(), noise);
+}
+
+TEST(BgzfTest, SplitBlockRejectsBadSpans) {
+  const std::string chunk(1000, 'q');
+  for (const std::vector<BgzfSpan>& spans :
+       std::vector<std::vector<BgzfSpan>>{{{10, 20}, {5, 2}},      // unsorted
+                                          {{10, 20}, {29, 2}},     // overlap
+                                          {{990, 11}},             // past end
+                                          {{1001, 0}},             // past end
+                                          {{0, UINT32_MAX}}}) {    // overflow
+    EXPECT_TRUE(
+        BgzfCompressSplitBlock(chunk, spans).status().IsInvalidArgument());
+  }
+  std::string out;
+  const std::vector<std::vector<BgzfSpan>> one_list = {{}};
+  EXPECT_TRUE(BgzfCompressChunks({chunk, chunk}, -1, nullptr, &out, nullptr,
+                                 &one_list)
+                  .IsInvalidArgument());
+}
+
+// Parts of a split payload, assembled by hand so that a test can make
+// them disagree.
+struct SplitParts {
+  uint32_t usize = 0;
+  uint32_t main_raw = 0;
+  uint32_t side_raw = 0;
+  std::string main;  // zlib stream
+  std::string side;  // zlib stream
+  uint32_t main_csize = 0;
+};
+
+std::string Deflate(std::string_view raw) {
+  uLongf n = compressBound(static_cast<uLong>(raw.size()));
+  std::string out(n, '\0');
+  EXPECT_EQ(compress2(reinterpret_cast<Bytef*>(out.data()), &n,
+                      reinterpret_cast<const Bytef*>(raw.data()),
+                      static_cast<uLong>(raw.size()), 6),
+            Z_OK);
+  out.resize(n);
+  return out;
+}
+
+std::string Varints(std::initializer_list<uint32_t> values) {
+  std::string out;
+  for (uint32_t v : values) {
+    for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>(v | 0x80));
+    out.push_back(static_cast<char>(v));
+  }
+  return out;
+}
+
+std::string FrameSplit(const SplitParts& p) {
+  std::string block = "GBZ2";
+  BufferWriter w(&block);
+  w.PutU32(static_cast<uint32_t>(12 + p.main.size() + p.side.size()));
+  w.PutU32(p.usize);
+  w.PutU32(p.main_raw);
+  w.PutU32(p.side_raw);
+  w.PutU32(p.main_csize);
+  block += p.main;
+  block += p.side;
+  return block;
+}
+
+// A well-formed hand-made split block: two 500-byte quality spans in a
+// 3096-byte chunk.
+struct SplitFixture {
+  std::string chunk;
+  std::string outside;  // bytes outside the spans, in order
+  std::string side;     // bytes inside the spans, in order
+
+  SplitFixture() {
+    Rng rng(23);
+    const std::string a(1000, 'A'), c(1000, 'C'), tail(96, 'G');
+    std::string q1, q2;
+    for (int i = 0; i < 500; ++i) {
+      q1.push_back(static_cast<char>(33 + rng.Uniform(40)));
+      q2.push_back(static_cast<char>(33 + rng.Uniform(40)));
+    }
+    chunk = a + q1 + c + q2 + tail;
+    outside = a + c + tail;
+    side = q1 + q2;
+  }
+
+  SplitParts Parts(const std::string& table) const {
+    SplitParts p;
+    p.usize = static_cast<uint32_t>(chunk.size());
+    p.main_raw = static_cast<uint32_t>(table.size() + outside.size());
+    p.side_raw = static_cast<uint32_t>(side.size());
+    p.main = Deflate(table + outside);
+    p.side = Deflate(side);
+    p.main_csize = static_cast<uint32_t>(p.main.size());
+    return p;
+  }
+
+  SplitParts Valid() const {
+    return Parts(Varints({2, 1000, 500, 1000, 500}));
+  }
+};
+
+TEST(BgzfTest, HostileSplitPayloadsFailWithBlockOffset) {
+  const SplitFixture f;
+  const std::string good = BgzfCompressBlock(std::string(300, 'g')).ValueOrDie();
+  // Decodes `block` on its own and as the second block of a stream; both
+  // must fail with Corruption naming the block's own offset.
+  auto expect_corrupt = [&](const std::string& block, const char* what) {
+    std::string out;
+    Status st = BgzfDecompressBlockInto(block, 4242, &out, nullptr);
+    ASSERT_TRUE(st.IsCorruption()) << what << ": " << st.ToString();
+    EXPECT_NE(st.message().find("offset 4242"), std::string::npos)
+        << what << ": " << st.message();
+    Status range = BgzfReadRange(good + block, 0, 300 + f.chunk.size(), &out);
+    ASSERT_TRUE(range.IsCorruption()) << what << ": " << range.ToString();
+    EXPECT_NE(range.message().find("offset " + std::to_string(good.size())),
+              std::string::npos)
+        << what << ": " << range.message();
+  };
+
+  std::string out;
+  ASSERT_TRUE(BgzfDecompressBlockInto(FrameSplit(f.Valid()), 0, &out, nullptr)
+                  .ok());
+  ASSERT_EQ(out, f.chunk);
+
+  SplitParts p = f.Valid();
+  p.main_csize = static_cast<uint32_t>(p.main.size() + p.side.size() + 1);
+  expect_corrupt(FrameSplit(p), "main stream larger than the payload");
+  p.main_csize = UINT32_MAX;
+  expect_corrupt(FrameSplit(p), "main stream size of 2^32 - 1");
+  p.main_csize = 0;
+  expect_corrupt(FrameSplit(p), "empty main stream");
+  p.main_csize = static_cast<uint32_t>(p.main.size() - 1);
+  expect_corrupt(FrameSplit(p), "main stream one byte short");
+
+  expect_corrupt(FrameSplit(f.Parts(Varints({2, 1000, 500, 1000, 1500}))),
+                 "span past the block end");
+  expect_corrupt(FrameSplit(f.Parts(Varints({2, 1000, 500, 3000, 1}))),
+                 "gap past the block end");
+  expect_corrupt(FrameSplit(f.Parts(Varints({2, 1000, 500, 1000, 400}))),
+                 "spans cover less than side_raw");
+  expect_corrupt(FrameSplit(f.Parts(Varints({2, 1000, 500, 1000, 501}))),
+                 "spans cover more than side_raw");
+  expect_corrupt(FrameSplit(f.Parts(Varints({3, 1000, 500, 1000, 500}))),
+                 "span count past the table");
+  expect_corrupt(FrameSplit(f.Parts(Varints({2, 1000, 500, 1000, 0}))),
+                 "empty span");
+  expect_corrupt(FrameSplit(f.Parts(std::string("\xff\xff\xff\xff\xff\x01"))),
+                 "span count wider than a u32");
+
+  p = f.Valid();
+  ++p.usize;
+  expect_corrupt(FrameSplit(p), "usize one more than main + side");
+  p = f.Valid();
+  p.side_raw = p.usize + 1;
+  expect_corrupt(FrameSplit(p), "side_raw past usize");
+  p = f.Valid();
+  p.main_raw = UINT32_MAX;
+  expect_corrupt(FrameSplit(p), "main_raw of 2^32 - 1");
+  p = f.Valid();
+  p.main_raw -= 1;
+  expect_corrupt(FrameSplit(p), "main_raw one short");
+
+  p = f.Valid();
+  p.side = Deflate(f.side.substr(0, f.side.size() - 10));
+  expect_corrupt(FrameSplit(p), "side stream inflates short");
+  p.side = Deflate(f.side + "0123456789");
+  expect_corrupt(FrameSplit(p), "side stream inflates long");
+  p = f.Valid();
+  p.side += "xx";
+  expect_corrupt(FrameSplit(p), "bytes after the side stream");
+  p = f.Valid();
+  p.main = Deflate(std::string(p.main_raw + 3, 'm'));
+  p.main_csize = static_cast<uint32_t>(p.main.size());
+  expect_corrupt(FrameSplit(p), "main stream inflates long");
+
+  // A payload too short for its own size table.
+  std::string tiny = "GBZ2";
+  BufferWriter w(&tiny);
+  w.PutU32(8);
+  w.PutU32(100);
+  w.PutU32(100);
+  w.PutU32(0);
+  expect_corrupt(tiny, "payload shorter than the size table");
 }
 
 // BgzfCompressChunks' reference: the serial writer flushed after every

@@ -43,22 +43,24 @@
 #     of undefined behavior, or corruption detection itself can't be
 #     trusted.
 #   - TSan (util_test, mr_test, service_test, dfs_test, plus the
-#     streaming, schedule and serial-oracle suites): the work-stealing
-#     executor (per-worker deques, steal-half transfers, TaskGroup
-#     helping waits, the shutdown/submit race) and the async MapReduce
+#     streaming-loop, correctness-matrix, schedule and serial-oracle
+#     suites): the work-stealing executor (per-worker deques,
+#     steal-half transfers, TaskGroup helping waits, the
+#     shutdown/submit race) and the async MapReduce
 #     engine built on it are lock-ordering-sensitive by design; a data
 #     race here silently reorders round outputs. The service suite adds
 #     the job-manager threads (runners, watchdog, heartbeat) racing
 #     admission, cancellation and drain, including the multi-tenant
 #     chaos test over a shared DFS. The PipelineNodeTest filter runs
 #     the fused align+clean batch loop, cancelled from its sink. The
-#     PipelineDagTest, StreamingPipelineTest and PipelineScheduleTest
-#     filters run whole pipelines through the one stage table in every
-#     schedule — barriered, pipelined, streamed, and resumed after a
-#     cancel — where every reduce builds and writes its partition on its
-#     worker with a nested parallel BGZF deflate, and a resumed
-#     overlapped run starts jobs against gates its sealed rounds fired
-#     before the jobs existed; the dfs suite covers concurrent
+#     correctness-matrix and PipelineScheduleTest filters run whole
+#     pipelines through the one stage table in every schedule —
+#     barriered, pipelined, streamed, serial, and resumed after a cancel
+#     or a DFS crash, with and without the codec, combiners and faults —
+#     where every reduce builds and writes its partition on its worker
+#     with a nested parallel BGZF deflate, and a resumed overlapped run
+#     starts jobs against gates its sealed rounds fired before the jobs
+#     existed; the dfs suite covers concurrent
 #     Dfs::Write calls, each fanning its compress_parts deflate out as a
 #     nested TaskGroup.
 #     The SerialPipelineTest filter runs the serial oracle.
@@ -123,7 +125,7 @@ if [[ "$run_tsan" == 1 ]]; then
   ./build-tsan/tests/service_test
   ./build-tsan/tests/dfs_test
   ./build-tsan/tests/gesall_test \
-    --gtest_filter='PipelineNodeTest.*:StreamingPipelineTest.*:PipelineDagTest.*:*PipelineScheduleTest.*:SerialPipelineTest.*'
+    --gtest_filter='PipelineNodeTest.*:*CorrectnessMatrix*:*PipelineScheduleTest.*:SerialPipelineTest.*'
 fi
 
 echo "=== check.sh: all green ==="

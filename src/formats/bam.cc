@@ -121,22 +121,19 @@ Result<SamRecord> DecodeBamRecord(std::string_view data, size_t* offset) {
   return rec;
 }
 
-Result<std::string> WriteBam(const SamHeader& header,
-                             const std::vector<SamRecord>& records) {
-  std::vector<std::string> values;
-  values.reserve(records.size());
-  for (const auto& r : records) values.push_back(EncodeBamRecord(r));
-  return BuildBamPartition(header, values, nullptr);
-}
-
-Result<std::string> BuildBamPartition(const SamHeader& header,
-                                      const std::vector<std::string>& records,
-                                      Executor* executor) {
+namespace {
+// The chunk cutter behind WriteBam and BuildBamPartition. records[i] is
+// one encoded record and quals[i] its quality string, at an offset from
+// the record's first byte. The header is the first chunk. Record chunks
+// are cut before a record that would overflow the block, and after one
+// that fills it exactly.
+Result<std::string> CutBamChunks(const SamHeader& header,
+                                 const std::vector<std::string>& records,
+                                 const std::vector<BgzfSpan>& quals,
+                                 Executor* executor) {
   // Raw bytes not yet deflated and where each chunk starts in them; the
   // last start opens the chunk being filled, and spans[i] lists chunk
-  // i's quality strings. The header is the first chunk. Record chunks
-  // are cut before a record that would overflow the block, and after
-  // one that fills it exactly.
+  // i's quality strings.
   GESALL_ASSIGN_OR_RETURN(std::string pending, HeaderChunk(header));
   std::vector<size_t> starts = {0, pending.size()};
   std::vector<std::vector<BgzfSpan>> spans(2);
@@ -158,14 +155,8 @@ Result<std::string> BuildBamPartition(const SamHeader& header,
     spans.erase(spans.begin(), spans.begin() + upto);
     return Status::OK();
   };
-  for (const auto& v : records) {
-    size_t consumed = 0;
-    GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &consumed));
-    if (consumed != v.size()) {
-      return Status::Corruption("BAM record value carries " +
-                                std::to_string(v.size() - consumed) +
-                                " bytes past its record");
-    }
+  for (size_t i = 0; i < records.size(); ++i) {
+    const std::string& v = records[i];
     if (v.size() > kBgzfBlockSize) {
       return Status::InvalidArgument("BAM record exceeds one BGZF block");
     }
@@ -175,8 +166,8 @@ Result<std::string> BuildBamPartition(const SamHeader& header,
     }
     spans.back().push_back(
         {static_cast<uint32_t>(pending.size() - starts.back() +
-                               QualOffset(rec)),
-         static_cast<uint32_t>(rec.qual.size())});
+                               quals[i].offset),
+         quals[i].length});
     pending.append(v);
     if (pending.size() - starts.back() == kBgzfBlockSize) {
       starts.push_back(pending.size());
@@ -191,6 +182,45 @@ Result<std::string> BuildBamPartition(const SamHeader& header,
   starts.push_back(pending.size());
   GESALL_RETURN_NOT_OK(deflate(starts.size() - 1));
   return bam;
+}
+
+BgzfSpan QualSpan(const SamRecord& rec) {
+  return {static_cast<uint32_t>(QualOffset(rec)),
+          static_cast<uint32_t>(rec.qual.size())};
+}
+}  // namespace
+
+Result<std::string> WriteBam(const SamHeader& header,
+                             const std::vector<SamRecord>& records) {
+  std::vector<std::string> values;
+  std::vector<BgzfSpan> quals;
+  values.reserve(records.size());
+  quals.reserve(records.size());
+  for (const auto& r : records) {
+    values.push_back(EncodeBamRecord(r));
+    quals.push_back(QualSpan(r));
+  }
+  return CutBamChunks(header, values, quals, nullptr);
+}
+
+Result<std::string> BuildBamPartition(const SamHeader& header,
+                                      const std::vector<std::string>& records,
+                                      Executor* executor) {
+  // The values arrive through the shuffle: decode each one to validate
+  // it and to find its quality string.
+  std::vector<BgzfSpan> quals;
+  quals.reserve(records.size());
+  for (const auto& v : records) {
+    size_t consumed = 0;
+    GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &consumed));
+    if (consumed != v.size()) {
+      return Status::Corruption("BAM record value carries " +
+                                std::to_string(v.size() - consumed) +
+                                " bytes past its record");
+    }
+    quals.push_back(QualSpan(rec));
+  }
+  return CutBamChunks(header, records, quals, executor);
 }
 
 Result<SamHeader> ReadBamHeader(std::string_view bam) {

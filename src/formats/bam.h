@@ -8,11 +8,11 @@
 // a chunk boundary can be decoded into a valid record stream after
 // fetching the header from the file's first chunk.
 //
-// BuildBamPartition is the one block writer; WriteBam encodes records
-// and hands them to it. Each record's quality string is a span of a
-// split block (util/bgzf.h): qualities are Huffman-coded apart from the
-// rest of the record, which deflates at the BAM level. A split block
-// inflates to the same chunk, so readers never see the difference.
+// WriteBam and BuildBamPartition share one chunk cutter. Each record's
+// quality string is a span of a split block (util/bgzf.h): qualities
+// are Huffman-coded apart from the rest of the record, which deflates
+// at the BAM level. A split block inflates to the same chunk, so
+// readers never see the difference.
 
 #ifndef GESALL_FORMATS_BAM_H_
 #define GESALL_FORMATS_BAM_H_
@@ -36,8 +36,10 @@ std::string EncodeBamRecord(const SamRecord& rec);
 /// do not (a body with unparsed trailing bytes).
 Result<SamRecord> DecodeBamRecord(std::string_view data, size_t* offset);
 
-/// Serializes a complete BAM file in one call: EncodeBamRecord on every
-/// record, then BuildBamPartition on the calling thread.
+/// Serializes a complete BAM file in one call, on the calling thread:
+/// EncodeBamRecord on every record, then the bytes BuildBamPartition
+/// would build from those values. The records are not decoded again:
+/// their quality spans are known from the structs.
 Result<std::string> WriteBam(const SamHeader& header,
                              const std::vector<SamRecord>& records);
 

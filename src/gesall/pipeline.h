@@ -302,8 +302,8 @@ class GesallPipeline {
 // ---------------------------------------------------------------------
 // Serial reference pipeline (the paper's single-node "gold standard",
 // GATK best practices): the same wrapped programs executed as a chain of
-// timed steps on a single-worker executor, plus hybrid tails used to
-// compute the discordant-impact (D_impact) measures of §4.5.2.
+// timed steps on the calling thread, plus hybrid tails used to compute
+// the discordant-impact (D_impact) measures of §4.5.2.
 
 /// \brief Serial pipeline configuration.
 struct SerialPipelineConfig {

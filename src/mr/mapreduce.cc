@@ -112,7 +112,7 @@ class MapContextImpl : public MapContext {
     if (partitioner_ == nullptr) return;
     out_->shuffle = std::make_unique<ShuffleBuffer>(
         cfg.num_reducers, cfg.sort_buffer_bytes, combiner,
-        cfg.checksum_shuffle, cfg.compress_shuffle,
+        /*checksum=*/true, cfg.compress_shuffle,
         cfg.shuffle_compress_level,
         cfg.compress_shuffle ? executor : nullptr);
   }
@@ -393,95 +393,91 @@ void MasterVerifyAndReduce(const std::shared_ptr<JobState>& s) {
   const int num_nodes = cfg.num_nodes;
   auto& outputs = s->map_outputs;
   JobCounters recovery_counters;
-  if (num_nodes > 0 || cfg.checksum_shuffle) {
-    FaultInjector* injector = cfg.fault_injector;
-    std::vector<bool> dead(num_nodes > 0 ? num_nodes : 0, false);
-    if (injector != nullptr) {
-      for (int n = 0; n < num_nodes; ++n) {
-        dead[n] = injector->ShouldFail(kFaultNodeCrash, n, 0);
-      }
+  FaultInjector* injector = cfg.fault_injector;
+  std::vector<bool> dead(num_nodes > 0 ? num_nodes : 0, false);
+  if (injector != nullptr) {
+    for (int n = 0; n < num_nodes; ++n) {
+      dead[n] = injector->ShouldFail(kFaultNodeCrash, n, 0);
     }
-    std::vector<int> reexecutions(s->splits.size(), 0);
-    std::vector<size_t> fetch_pending(s->splits.size());
-    for (size_t i = 0; i < s->splits.size(); ++i) fetch_pending[i] = i;
-    for (int epoch = 0; !fetch_pending.empty(); ++epoch) {
-      std::vector<size_t> lost;
-      for (size_t i : fetch_pending) {
-        MapTaskOutput& out = outputs[i];
-        if (!out.status.ok()) {
-          continue;  // nothing fetchable; the status merge handles it
-        }
-        if (num_nodes > 0 && dead[s->node_of[i]]) {
-          recovery_counters.Add("map_outputs_lost_to_dead_nodes", 1);
-          lost.push_back(i);
-          continue;
-        }
-        if (injector != nullptr &&
-            injector->ShouldFail(kFaultShuffleFetch,
-                                 static_cast<int64_t>(i), epoch)) {
-          recovery_counters.Add("shuffle_fetch_corruptions", 1);
-          lost.push_back(i);
-          continue;
-        }
-        if (cfg.checksum_shuffle) {
-          Status verify;
-          for (int p = 0;
-               verify.ok() && p < out.shuffle->num_partitions(); ++p) {
-            verify = out.shuffle->VerifyPartition(p);
-          }
-          if (!verify.ok()) {
-            recovery_counters.Add("shuffle_fetch_corruptions", 1);
-            lost.push_back(i);
-            continue;
-          }
-          recovery_counters.Add("shuffle_partitions_verified",
-                                out.shuffle->num_partitions());
-        }
+  }
+  std::vector<int> reexecutions(s->splits.size(), 0);
+  std::vector<size_t> fetch_pending(s->splits.size());
+  for (size_t i = 0; i < s->splits.size(); ++i) fetch_pending[i] = i;
+  for (int epoch = 0; !fetch_pending.empty(); ++epoch) {
+    std::vector<size_t> lost;
+    for (size_t i : fetch_pending) {
+      MapTaskOutput& out = outputs[i];
+      if (!out.status.ok()) {
+        continue;  // nothing fetchable; the status merge handles it
       }
-      if (lost.empty()) break;
-      for (size_t i : lost) {
-        if (++reexecutions[i] > kMaxMapReexecutions) {
+      if (num_nodes > 0 && dead[s->node_of[i]]) {
+        recovery_counters.Add("map_outputs_lost_to_dead_nodes", 1);
+        lost.push_back(i);
+        continue;
+      }
+      if (injector != nullptr &&
+          injector->ShouldFail(kFaultShuffleFetch,
+                               static_cast<int64_t>(i), epoch)) {
+        recovery_counters.Add("shuffle_fetch_corruptions", 1);
+        lost.push_back(i);
+        continue;
+      }
+      Status verify;
+      for (int p = 0; verify.ok() && p < out.shuffle->num_partitions();
+           ++p) {
+        verify = out.shuffle->VerifyPartition(p);
+      }
+      if (!verify.ok()) {
+        recovery_counters.Add("shuffle_fetch_corruptions", 1);
+        lost.push_back(i);
+        continue;
+      }
+      recovery_counters.Add("shuffle_partitions_verified",
+                            out.shuffle->num_partitions());
+    }
+    if (lost.empty()) break;
+    for (size_t i : lost) {
+      if (++reexecutions[i] > kMaxMapReexecutions) {
+        FinishJob(s, Status::IOError(
+                         "map output " + std::to_string(i) + " lost " +
+                         std::to_string(reexecutions[i]) +
+                         " times, exceeding kMaxMapReexecutions (" +
+                         std::to_string(kMaxMapReexecutions) + ")"));
+        return;
+      }
+      if (num_nodes > 0) {
+        int moved = -1;
+        for (int k = 1; k <= num_nodes; ++k) {
+          const int candidate = (s->node_of[i] + k) % num_nodes;
+          if (!dead[candidate]) {
+            moved = candidate;
+            break;
+          }
+        }
+        if (moved < 0) {
           FinishJob(s, Status::IOError(
-                           "map output " + std::to_string(i) + " lost " +
-                           std::to_string(reexecutions[i]) +
-                           " times, exceeding kMaxMapReexecutions (" +
-                           std::to_string(kMaxMapReexecutions) + ")"));
+                           "cannot re-execute map task " +
+                           std::to_string(i) +
+                           ": every compute node is dead"));
           return;
         }
-        if (num_nodes > 0) {
-          int moved = -1;
-          for (int k = 1; k <= num_nodes; ++k) {
-            const int candidate = (s->node_of[i] + k) % num_nodes;
-            if (!dead[candidate]) {
-              moved = candidate;
-              break;
-            }
-          }
-          if (moved < 0) {
-            FinishJob(s, Status::IOError(
-                             "cannot re-execute map task " +
-                             std::to_string(i) +
-                             ": every compute node is dead"));
-            return;
-          }
-          s->node_of[i] = moved;
-        }
+        s->node_of[i] = moved;
       }
-      {
-        // TaskGroup, not the throttle: the helping Wait() keeps the
-        // master making progress even when every worker (and slot) is
-        // occupied by another overlapped round's tasks.
-        TaskGroup group(s->executor, Executor::Priority::kHigh);
-        JobState* raw = s.get();
-        for (size_t i : lost) {
-          group.Submit([raw, i] { ExecuteMap(raw, i); });
-        }
-        group.Wait();
-      }
-      recovery_counters.Add("map_tasks_reexecuted",
-                            static_cast<int64_t>(lost.size()));
-      fetch_pending = std::move(lost);
     }
+    {
+      // TaskGroup, not the throttle: the helping Wait() keeps the
+      // master making progress even when every worker (and slot) is
+      // occupied by another overlapped round's tasks.
+      TaskGroup group(s->executor, Executor::Priority::kHigh);
+      JobState* raw = s.get();
+      for (size_t i : lost) {
+        group.Submit([raw, i] { ExecuteMap(raw, i); });
+      }
+      group.Wait();
+    }
+    recovery_counters.Add("map_tasks_reexecuted",
+                          static_cast<int64_t>(lost.size()));
+    fetch_pending = std::move(lost);
   }
 
   // Map-side merge. A map error fails the job before any reducer runs,
@@ -561,7 +557,7 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
               std::make_unique<CompressedShuffleRunReader>(crun.bytes));
           reader_ptrs.push_back(readers.back().get());
           shuffle_records += crun.records;
-          shuffle_bytes += crun.raw_bytes;
+          shuffle_bytes += crun.payload_bytes;
           compressed_bytes += static_cast<int64_t>(crun.bytes.size());
         }
         continue;
@@ -764,8 +760,7 @@ std::shared_ptr<JobState> StartJob(const JobConfig& config,
   s->throttle = config.throttle != nullptr
                     ? config.throttle
                     : std::make_shared<Throttle>(s->executor,
-                                                 config.max_parallel_tasks,
-                                                 config.priority);
+                                                 config.max_parallel_tasks);
   const size_t n = splits.size();
   if (config.num_nodes > 0) {
     // Node assignment of the whole-node failure model: locality-hinted

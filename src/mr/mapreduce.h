@@ -190,10 +190,6 @@ struct JobConfig {
   /// process-wide Executor::Shared(). A job run never constructs an
   /// executor of its own.
   Executor* executor = nullptr;
-  /// Priority of the job's map/reduce tasks on the executor. Job-master
-  /// coordination (shuffle verification, lost-output re-execution) always
-  /// runs at kHigh so recovery overtakes queued regular work.
-  Executor::Priority priority = Executor::Priority::kNormal;
   /// Optional shared admission throttle. When several jobs overlap (the
   /// pipelined round DAG), pointing them at one Throttle makes
   /// max_parallel_tasks a global cap across the overlapping rounds
@@ -238,10 +234,10 @@ struct JobConfig {
   /// (preferred_node >= 0 ? preferred_node : i) % num_nodes; the
   /// "node.crash" fault point (key = node id, attempt = 0) decides which
   /// nodes die before the reduce-side fetch. 0 disables the node model.
+  /// With or without it, every frozen shuffle run is CRC32C-sealed at
+  /// spill time and verified at reduce-fetch time; a mismatch counts as
+  /// a lost map output.
   int num_nodes = 0;
-  /// CRC32C every frozen shuffle run at spill time and verify it at
-  /// reduce-fetch time; a mismatch counts as a lost map output.
-  bool checksum_shuffle = true;
 
   // --- Compressed shuffle (mapreduce.map.output.compress analog) ---
 

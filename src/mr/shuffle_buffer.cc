@@ -247,6 +247,7 @@ Status ShuffleBuffer::CompressRun(Partition* part, const ShuffleRun& run) {
   BgzfWriter w(&crun.bytes, compress_level_);
   for (const ShuffleEntry& e : run) {
     GESALL_RETURN_NOT_OK(AppendFramedRecord(&w, e.key, e.value));
+    crun.payload_bytes += static_cast<int64_t>(e.key.size() + e.value.size());
   }
   GESALL_RETURN_NOT_OK(w.Flush());
   crun.records = static_cast<int64_t>(run.size());
@@ -348,9 +349,10 @@ Status ShuffleBuffer::MergeCompressedPartition(Partition* part) {
   ShuffleRunMerger merger(reader_ptrs);
   for (const ShuffleEntry* e = merger.Next(); e != nullptr;
        e = merger.Next()) {
-    stats_.merge_bytes += static_cast<int64_t>(e->key.size() +
-                                               e->value.size());
+    const auto payload = static_cast<int64_t>(e->key.size() + e->value.size());
+    stats_.merge_bytes += payload;
     GESALL_RETURN_NOT_OK(AppendFramedRecord(&w, e->key, e->value));
+    merged.payload_bytes += payload;
     ++merged.records;
   }
   for (const auto& reader : readers) {

@@ -132,9 +132,10 @@ using ShuffleRun = std::vector<ShuffleEntry>;
 /// stream of [u32 klen][u32 vlen][key][value] records (little-endian
 /// lengths; records may straddle the 64 KiB block cuts).
 struct CompressedShuffleRun {
-  std::string bytes;      // BGZF-framed record stream
+  std::string bytes;          // BGZF-framed record stream
   int64_t records = 0;
-  int64_t raw_bytes = 0;  // serialized size before compression
+  int64_t payload_bytes = 0;  // key + value bytes, framing excluded
+  int64_t raw_bytes = 0;      // serialized size before compression
 };
 
 /// \brief Streaming source of sorted shuffle entries for the k-way merge.

@@ -472,11 +472,6 @@ Status BgzfReadRange(std::string_view compressed, size_t offset,
   return Status::OK();
 }
 
-uint64_t BgzfWriter::Tell() const {
-  return (static_cast<uint64_t>(out_->size()) << 16) |
-         (pending_.size() & 0xffff);
-}
-
 Status BgzfWriter::Append(std::string_view data) {
   while (!data.empty()) {
     size_t room = kBgzfBlockSize - pending_.size();
@@ -495,67 +490,6 @@ Status BgzfWriter::Flush() {
   GESALL_RETURN_NOT_OK(
       BgzfCompressChunks({pending_}, level_, nullptr, out_, &stats_));
   pending_.clear();
-  return Status::OK();
-}
-
-Status BgzfReader::Seek(uint64_t virtual_offset) {
-  block_offset_ = static_cast<size_t>(virtual_offset >> 16);
-  intra_ = static_cast<size_t>(virtual_offset & 0xffff);
-  loaded_ = false;
-  if (block_offset_ > data_.size()) {
-    return Status::OutOfRange("seek past end of BGZF stream");
-  }
-  if (block_offset_ < data_.size()) {
-    GESALL_RETURN_NOT_OK(EnsureBlock());
-    if (intra_ > block_.size()) {
-      return Status::OutOfRange("intra-block offset past block end");
-    }
-  } else if (intra_ != 0) {
-    return Status::OutOfRange("seek past end of BGZF stream");
-  }
-  return Status::OK();
-}
-
-uint64_t BgzfReader::Tell() const {
-  return (static_cast<uint64_t>(block_offset_) << 16) | (intra_ & 0xffff);
-}
-
-Status BgzfReader::EnsureBlock() {
-  if (loaded_) return Status::OK();
-  size_t consumed = 0;
-  GESALL_RETURN_NOT_OK(BgzfDecompressBlockInto(
-      data_.substr(block_offset_), block_offset_, &block_, &consumed));
-  next_offset_ = block_offset_ + consumed;
-  loaded_ = true;
-  return Status::OK();
-}
-
-bool BgzfReader::AtEnd() {
-  if (loaded_ && intra_ < block_.size()) return false;
-  if (!loaded_) return block_offset_ >= data_.size();
-  // Current block exhausted; at end iff no further block.
-  return next_offset_ >= data_.size();
-}
-
-Status BgzfReader::Read(size_t n, std::string* out) {
-  out->clear();
-  out->reserve(n);
-  while (n > 0) {
-    if (block_offset_ >= data_.size()) {
-      return Status::OutOfRange("read past end of BGZF stream");
-    }
-    GESALL_RETURN_NOT_OK(EnsureBlock());
-    if (intra_ >= block_.size()) {
-      block_offset_ = next_offset_;
-      intra_ = 0;
-      loaded_ = false;
-      continue;
-    }
-    size_t take = std::min(n, block_.size() - intra_);
-    out->append(block_, intra_, take);
-    intra_ += take;
-    n -= take;
-  }
   return Status::OK();
 }
 

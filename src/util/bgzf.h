@@ -21,8 +21,6 @@
 //       the spans in order, and `side` codes the bytes inside the spans
 //       Huffman-only (Z_HUFFMAN_ONLY). It inflates to exactly the chunk.
 // Every decoder below handles all three, so callers never see a method.
-// Virtual offsets pack (block file offset << 16 | intra-block offset)
-// exactly like samtools.
 //
 // The codec is the storage substrate for every compressed byte path:
 // DFS intermediate parts (DfsOptions::compress_parts), shuffle spill runs
@@ -163,9 +161,6 @@ class BgzfWriter {
   explicit BgzfWriter(std::string* out, int level = kBgzfDefaultLevel)
       : out_(out), level_(level) {}
 
-  /// Returns the virtual offset (coffset<<16 | uoffset) of the next byte.
-  uint64_t Tell() const;
-
   /// Appending nothing is a no-op (no empty block is ever emitted).
   Status Append(std::string_view data);
 
@@ -181,36 +176,6 @@ class BgzfWriter {
   int level_;
   std::string pending_;
   BgzfCodecStats stats_;
-};
-
-/// \brief Reader over a concatenation of BGZF blocks.
-///
-/// Supports starting mid-file at a block boundary (as the DFS record
-/// reader does) and reading across block boundaries.
-class BgzfReader {
- public:
-  explicit BgzfReader(std::string_view compressed) : data_(compressed) {}
-
-  /// Positions the reader at a virtual offset.
-  Status Seek(uint64_t virtual_offset);
-
-  /// Current virtual offset.
-  uint64_t Tell() const;
-
-  bool AtEnd();
-
-  /// Reads exactly n bytes (failing with OutOfRange at true EOF).
-  Status Read(size_t n, std::string* out);
-
- private:
-  Status EnsureBlock();
-
-  std::string_view data_;
-  size_t block_offset_ = 0;   // file offset of current block
-  size_t next_offset_ = 0;    // file offset of next block
-  std::string block_;         // decompressed current block
-  size_t intra_ = 0;          // position within block_
-  bool loaded_ = false;
 };
 
 /// \brief Splits a compressed stream into per-block (offset, size) spans.

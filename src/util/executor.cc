@@ -279,18 +279,16 @@ void TaskGroup::Wait() {
   });
 }
 
-Throttle::Throttle(Executor* executor, int max_in_flight,
-                   Executor::Priority priority)
+Throttle::Throttle(Executor* executor, int max_in_flight)
     : state_(std::make_shared<State>()),
       executor_(executor),
-      max_in_flight_(max_in_flight < 1 ? 1 : max_in_flight),
-      priority_(priority) {}
+      max_in_flight_(max_in_flight < 1 ? 1 : max_in_flight) {}
 
 void Throttle::Launch(const std::shared_ptr<State>& state,
-                      Executor* executor, Executor::Priority priority,
-                      std::function<void()> fn, uint64_t tag) {
+                      Executor* executor, std::function<void()> fn,
+                      uint64_t tag) {
   executor->Submit(
-      [state, executor, priority, fn = std::move(fn)]() mutable {
+      [state, executor, fn = std::move(fn)]() mutable {
         fn();
         fn = nullptr;
         // Keep the slot if work is pending: chain straight into the
@@ -305,9 +303,9 @@ void Throttle::Launch(const std::shared_ptr<State>& state,
           next = std::move(state->pending.front());
           state->pending.pop_front();
         }
-        Launch(state, executor, priority, std::move(next.fn), next.tag);
+        Launch(state, executor, std::move(next.fn), next.tag);
       },
-      priority, tag);
+      Executor::Priority::kNormal, tag);
 }
 
 void Throttle::Submit(std::function<void()> fn) {
@@ -320,7 +318,7 @@ void Throttle::Submit(std::function<void()> fn) {
     }
     ++state_->in_flight;
   }
-  Launch(state_, executor_, priority_, std::move(fn), tag);
+  Launch(state_, executor_, std::move(fn), tag);
 }
 
 void ReadySignal::Notify() {

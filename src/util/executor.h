@@ -8,9 +8,9 @@
 //  - One deque per (worker, priority). The owner pops FIFO from the
 //    front; an idle worker steals the back HALF of the richest deque of
 //    a victim, amortizing steal traffic (steal-half, Cilk-style).
-//  - Three priorities: kHigh for coordination tasks that unblock others
-//    (the MR job master's verify/fetch phase), kNormal for regular map/
-//    reduce tasks, kLow for background work (scrub checksums).
+//  - Two priorities: kHigh for coordination tasks that unblock others
+//    (the MR job master's verify/fetch phase), kNormal for everything
+//    else.
 //  - Executor::Shared() is the process-lifetime instance; constructing
 //    throwaway pools per phase is exactly the churn this replaces
 //    (instances_created() lets tests assert no one regressed into it).
@@ -68,8 +68,8 @@ struct TagStats {
 /// lands on the submitting worker's own deque, preserving locality).
 class Executor {
  public:
-  enum class Priority { kHigh = 0, kNormal = 1, kLow = 2 };
-  static constexpr int kNumPriorities = 3;
+  enum class Priority { kHigh = 0, kNormal = 1 };
+  static constexpr int kNumPriorities = 2;
 
   explicit Executor(int num_threads);
   /// Drains every queued task, then joins the workers.
@@ -192,11 +192,10 @@ class TaskGroup {
 /// submitted tasks run concurrently; completion launches the next. This
 /// is the cluster's "task slots" (mapreduce max_parallel_tasks) on top
 /// of a wider shared executor, and can be shared by several jobs so
-/// overlapped rounds compete for the same slots.
+/// overlapped rounds compete for the same slots. Tasks run at kNormal.
 class Throttle {
  public:
-  Throttle(Executor* executor, int max_in_flight,
-           Executor::Priority priority = Executor::Priority::kNormal);
+  Throttle(Executor* executor, int max_in_flight);
 
   Throttle(const Throttle&) = delete;
   Throttle& operator=(const Throttle&) = delete;
@@ -220,13 +219,12 @@ class Throttle {
     int in_flight = 0;
   };
   static void Launch(const std::shared_ptr<State>& state,
-                     Executor* executor, Executor::Priority priority,
-                     std::function<void()> fn, uint64_t tag);
+                     Executor* executor, std::function<void()> fn,
+                     uint64_t tag);
 
   std::shared_ptr<State> state_;
   Executor* executor_;
   int max_in_flight_;
-  Executor::Priority priority_;
 };
 
 /// \brief Idempotent readiness latch with callbacks — the per-partition

@@ -1,7 +1,7 @@
 // End-to-end chaos test: the full parallel pipeline under injected task
-// failures and DFS replica failures. Recovery must be invisible (same
-// variants as the fault-free run, reproducible per seed) and visible only
-// in the fault-tolerance telemetry of the diagnosis report.
+// failures and DFS replica failures. Recovery must be reproducible per
+// seed and visible in the diagnosis report's fault-tolerance telemetry
+// (correctness_matrix_test checks that it changes no output).
 
 #include <gtest/gtest.h>
 
@@ -174,8 +174,6 @@ class PipelineChaosTest : public testing::Test {
     ASSERT_TRUE(baseline.LoadSample(sample_->mate1, sample_->mate2).ok());
     auto variants = baseline.RunAll();
     ASSERT_TRUE(variants.ok()) << variants.status().ToString();
-    baseline_variants_ =
-        new std::vector<VariantRecord>(variants.MoveValueUnsafe());
     baseline_summary_ =
         new FaultToleranceSummary(baseline.SummarizeFaultTolerance());
     baseline_node_summary_ =
@@ -201,7 +199,6 @@ class PipelineChaosTest : public testing::Test {
     delete chaos_;
     delete baseline_node_summary_;
     delete baseline_summary_;
-    delete baseline_variants_;
     delete baseline_dfs_;
     delete serial_;
     delete index_;
@@ -216,7 +213,6 @@ class PipelineChaosTest : public testing::Test {
   static GenomeIndex* index_;
   static SerialStageOutputs* serial_;
   static Dfs* baseline_dfs_;
-  static std::vector<VariantRecord>* baseline_variants_;
   static FaultToleranceSummary* baseline_summary_;
   static NodeFailureSummary* baseline_node_summary_;
   static ChaosRun* chaos_;
@@ -233,7 +229,6 @@ SimulatedSample* PipelineChaosTest::sample_ = nullptr;
 GenomeIndex* PipelineChaosTest::index_ = nullptr;
 SerialStageOutputs* PipelineChaosTest::serial_ = nullptr;
 Dfs* PipelineChaosTest::baseline_dfs_ = nullptr;
-std::vector<VariantRecord>* PipelineChaosTest::baseline_variants_ = nullptr;
 FaultToleranceSummary* PipelineChaosTest::baseline_summary_ = nullptr;
 NodeFailureSummary* PipelineChaosTest::baseline_node_summary_ = nullptr;
 ChaosRun* PipelineChaosTest::chaos_ = nullptr;
@@ -243,16 +238,17 @@ ChaosRun* PipelineChaosTest::streamed_chaos_repeat_ = nullptr;
 ChaosRun* PipelineChaosTest::node_chaos_ = nullptr;
 ChaosRun* PipelineChaosTest::node_chaos_repeat_ = nullptr;
 
-TEST_F(PipelineChaosTest, RecoveryIsInvisibleInTheOutput) {
-  ASSERT_GT(baseline_variants_->size(), 10u);
-  EXPECT_EQ(VariantKeys(chaos_->variants), VariantKeys(*baseline_variants_));
-}
-
 TEST_F(PipelineChaosTest, SameSeedReproducesRunExactly) {
   EXPECT_EQ(VariantKeys(chaos_->variants),
             VariantKeys(chaos_repeat_->variants));
   EXPECT_EQ(SummaryToString(chaos_->summary),
             SummaryToString(chaos_repeat_->summary));
+  // Failed fused align-and-clean attempts are retried reproducibly too.
+  EXPECT_GT(streamed_chaos_->summary.map_task_retries, 0);
+  EXPECT_EQ(VariantKeys(streamed_chaos_->variants),
+            VariantKeys(streamed_chaos_repeat_->variants));
+  EXPECT_EQ(SummaryToString(streamed_chaos_->summary),
+            SummaryToString(streamed_chaos_repeat_->summary));
 }
 
 TEST_F(PipelineChaosTest, SummaryShowsTheRecoveries) {
@@ -298,27 +294,7 @@ TEST_F(PipelineChaosTest, DiagnosisReportSurfacesFaultTolerance) {
   EXPECT_FALSE(plain.ValueOrDie().fault_tolerance.any_faults_survived());
 }
 
-// A failed fused align-and-clean attempt is retried like any other map
-// task: the streamed run recovers to the same calls, reproducibly.
-TEST_F(PipelineChaosTest, StreamedRunRecoversFromTaskFaults) {
-  EXPECT_EQ(VariantKeys(streamed_chaos_->variants),
-            VariantKeys(*baseline_variants_));
-  const FaultToleranceSummary& s = streamed_chaos_->summary;
-  EXPECT_GT(s.map_task_retries, 0);
-  EXPECT_GT(s.reduce_task_retries, 0);
-  EXPECT_EQ(SummaryToString(s),
-            SummaryToString(streamed_chaos_repeat_->summary));
-  EXPECT_EQ(VariantKeys(streamed_chaos_->variants),
-            VariantKeys(streamed_chaos_repeat_->variants));
-}
-
 // --- Node chaos: corruption on every block + a mid-job node crash ---
-
-TEST_F(PipelineChaosTest, NodeChaosRecoveryIsInvisibleInTheOutput) {
-  ASSERT_GT(baseline_variants_->size(), 10u);
-  EXPECT_EQ(VariantKeys(node_chaos_->variants),
-            VariantKeys(*baseline_variants_));
-}
 
 TEST_F(PipelineChaosTest, NodeChaosSameSeedReproducesRunExactly) {
   EXPECT_EQ(VariantKeys(node_chaos_->variants),

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
-#include <tuple>
 
 #include "analysis/recalibration.h"
 #include "formats/bam.h"
@@ -216,92 +216,6 @@ TEST_F(PipelineExtensionsTest, OverlappingSegmentsUseIndexAndMatch) {
                               seg_variants.ValueOrDie());
   EXPECT_LT(disc.d_count(),
             static_cast<int64_t>(disc.concordant.size()) / 10 + 5);
-}
-
-TEST_F(PipelineExtensionsTest, CombinerRoundsPreserveOutputExactly) {
-  // The Round-2 FixMate combiner and Round-3 representative-dedup
-  // combiner are output-preserving: with a sort buffer small enough to
-  // force spill-level combining, every stage's records and the final
-  // variant calls must be byte-identical to a combiner-off run.
-  auto run = [&](bool use_combiners) {
-    DfsOptions dopt;
-    dopt.block_size = 256 * 1024;
-    auto dfs = std::make_unique<Dfs>(dopt);
-    PipelineConfig cfg;
-    cfg.use_combiners = use_combiners;
-    cfg.sort_buffer_bytes = 64 << 10;  // spill-heavy
-    auto pipe = MakePipeline(dfs.get(), cfg);
-    auto variants = pipe->RunAll();
-    EXPECT_TRUE(variants.ok()) << variants.status().ToString();
-    return std::make_tuple(std::move(dfs), std::move(pipe),
-                           variants.ValueOrDie());
-  };
-  auto [dfs_on, pipe_on, variants_on] = run(true);
-  auto [dfs_off, pipe_off, variants_off] = run(false);
-
-  EXPECT_EQ(variants_on, variants_off);
-  for (const char* stage : {"cleaned", "dedup", "sorted"}) {
-    EXPECT_EQ(pipe_on->ReadStageRecords(stage).ValueOrDie(),
-              pipe_off->ReadStageRecords(stage).ValueOrDie())
-        << "stage=" << stage;
-  }
-
-  // The combiners actually engaged in rounds 2 and 3.
-  int64_t combine_inputs = 0;
-  for (const auto& s : pipe_on->stats()) {
-    combine_inputs += s.counters.Get("combine_input_records");
-  }
-  EXPECT_GT(combine_inputs, 0);
-  for (const auto& s : pipe_off->stats()) {
-    EXPECT_EQ(s.counters.Get("combine_input_records"), 0) << s.name;
-  }
-}
-
-TEST_F(PipelineExtensionsTest, CompressedDataPathPreservesOutputExactly) {
-  // Turning on the whole compression-aware data path — BGZF DFS parts
-  // plus compressed shuffle spills with a spill-heavy sort buffer — must
-  // leave every stage's records and the final variant calls byte-identical
-  // to a plain run, while the storage summary shows real disk savings.
-  auto run = [&](bool compressed) {
-    DfsOptions dopt;
-    dopt.block_size = 256 * 1024;
-    dopt.compress_parts = compressed;
-    auto dfs = std::make_unique<Dfs>(dopt);
-    PipelineConfig cfg;
-    cfg.compress_shuffle = compressed;
-    cfg.sort_buffer_bytes = 64 << 10;  // spill-heavy
-    auto pipe = MakePipeline(dfs.get(), cfg);
-    auto variants = pipe->RunAll();
-    EXPECT_TRUE(variants.ok()) << variants.status().ToString();
-    return std::make_tuple(std::move(dfs), std::move(pipe),
-                           variants.ValueOrDie());
-  };
-  auto [dfs_on, pipe_on, variants_on] = run(true);
-  auto [dfs_off, pipe_off, variants_off] = run(false);
-
-  EXPECT_EQ(variants_on, variants_off);
-  for (const char* stage : {"aligned", "cleaned", "dedup", "sorted"}) {
-    EXPECT_EQ(pipe_on->ReadStageRecords(stage).ValueOrDie(),
-              pipe_off->ReadStageRecords(stage).ValueOrDie())
-        << "stage=" << stage;
-  }
-
-  // Both legs of the data path compressed and were accounted for.
-  StorageSummary on = pipe_on->SummarizeStorage();
-  EXPECT_TRUE(on.any_compression_active());
-  EXPECT_GT(on.shuffle_bytes_raw, 0);
-  EXPECT_GT(on.shuffle_bytes_compressed, 0);
-  EXPECT_LT(on.shuffle_bytes_compressed, on.shuffle_bytes_raw);
-  EXPECT_GT(on.dfs_bytes_raw, 0);
-  EXPECT_LT(on.dfs_bytes_compressed, on.dfs_bytes_raw);
-  EXPECT_GT(on.shuffle_ratio(), 1.0);
-  EXPECT_GT(on.dfs_ratio(), 1.0);
-  EXPECT_GT(on.shuffle_compress_micros + on.shuffle_decompress_micros, 0);
-
-  StorageSummary off = pipe_off->SummarizeStorage();
-  EXPECT_FALSE(off.any_compression_active());
-  EXPECT_EQ(off.shuffle_bytes_compressed, 0);
-  EXPECT_EQ(off.dfs_bytes_raw, off.dfs_bytes_compressed);
 }
 
 }  // namespace

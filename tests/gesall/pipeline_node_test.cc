@@ -1,23 +1,19 @@
 // Fused align+clean loop tests: RunAlignCleanStream (pipeline_node.h)
 // must produce records bit-identical to the monolithic barriered path,
 // hand batches to the sink in order, and stop cleanly on mid-stream
-// cancellation or sink errors. The suite ends with the end-to-end
-// acceptance comparison: a streaming pipelined run versus the barriered
-// engine.
+// cancellation or sink errors. Whole streamed pipelines are compared
+// with the barriered engine in correctness_matrix_test.
 
 #include "gesall/pipeline_node.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/steps.h"
-#include "gesall/diagnosis.h"
-#include "gesall/pipeline.h"
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
 
@@ -170,125 +166,6 @@ TEST_F(PipelineNodeTest, SinkErrorAbortsGraph) {
       &stats);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("disk full"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end acceptance: streaming pipelined run vs the barriered
-// engine. The fused rounds 1+2 must be invisible in every output.
-
-class StreamingPipelineTest : public PipelineNodeTest {
- protected:
-  struct Run {
-    std::unique_ptr<Dfs> dfs;
-    std::unique_ptr<GesallPipeline> pipeline;
-    std::vector<VariantRecord> variants;
-  };
-
-  static Run RunMode(bool streaming) { return RunMode(streaming, streaming); }
-
-  static Run RunMode(bool streaming, bool pipelined) {
-    Run run;
-    DfsOptions dopt;
-    dopt.block_size = 64 * 1024;
-    dopt.replication = 2;
-    dopt.num_data_nodes = 4;
-    run.dfs = std::make_unique<Dfs>(dopt);
-    PipelineConfig config;
-    config.alignment_partitions = 3;
-    config.pipelined = pipelined;
-    config.streaming = streaming;
-    run.pipeline = std::make_unique<GesallPipeline>(*ref_, *index_,
-                                                    run.dfs.get(), config);
-    EXPECT_TRUE(
-        run.pipeline->LoadSample(sample_->mate1, sample_->mate2).ok());
-    auto variants = run.pipeline->RunAll();
-    EXPECT_TRUE(variants.ok()) << variants.status().ToString();
-    if (variants.ok()) run.variants = variants.MoveValueUnsafe();
-    return run;
-  }
-};
-
-TEST_F(StreamingPipelineTest, StreamingRunMatchesBarriered) {
-  Run barriered = RunMode(/*streaming=*/false);
-  Run streaming = RunMode(/*streaming=*/true);
-
-  // Variants identical.
-  ASSERT_EQ(streaming.variants.size(), barriered.variants.size());
-  for (size_t i = 0; i < streaming.variants.size(); ++i) {
-    EXPECT_EQ(streaming.variants[i].Key(), barriered.variants[i].Key());
-    EXPECT_EQ(streaming.variants[i].qual, barriered.variants[i].qual);
-  }
-
-  // Every downstream stage byte-identical on the DFS. The aligned stage
-  // must NOT exist in the streaming run — that is the point.
-  EXPECT_TRUE(streaming.dfs->List("/gesall/aligned/").empty());
-  EXPECT_FALSE(barriered.dfs->List("/gesall/aligned/").empty());
-  for (const char* dir :
-       {"/gesall/cleaned/", "/gesall/dedup/", "/gesall/sorted/"}) {
-    std::vector<std::string> paths = barriered.dfs->List(dir);
-    ASSERT_EQ(streaming.dfs->List(dir), paths) << dir;
-    for (const auto& path : paths) {
-      auto a = barriered.dfs->Read(path);
-      auto b = streaming.dfs->Read(path);
-      ASSERT_TRUE(a.ok() && b.ok()) << path;
-      EXPECT_TRUE(a.ValueOrDie() == b.ValueOrDie()) << path;
-    }
-  }
-
-  // The fused round is reported under one name, with the streaming
-  // telemetry present in its counters.
-  const auto& stats = streaming.pipeline->stats();
-  ASSERT_FALSE(stats.empty());
-  EXPECT_EQ(stats.front().name, "round1_2_streamed");
-  EXPECT_GT(stats.front().counters.Get("stream_batches"), 0);
-  EXPECT_GT(stats.front().counters.Get("align_kernel_calls"), 0);
-  // Alignment and cleaning are charged to program_micros, as in the
-  // barriered rounds, so most of the fused map tasks' time is attributed.
-  double map_seconds = 0;
-  for (const TaskRecord& task : stats.front().tasks) {
-    if (task.type == TaskRecord::Type::kMap) {
-      map_seconds += task.end_seconds - task.start_seconds;
-    }
-  }
-  ASSERT_GT(map_seconds, 0);
-  EXPECT_GE(static_cast<double>(stats.front().counters.Get("program_micros")),
-            0.5 * map_seconds * 1e6);
-  EXPECT_TRUE(streaming.pipeline->SummarizeExecution().streaming);
-  EXPECT_FALSE(barriered.pipeline->SummarizeExecution().streaming);
-  EXPECT_GT(streaming.pipeline->SummarizeExecution().peak_rss_bytes, 0);
-}
-
-// Streaming without pipelining is the fused stage on barrier edges: the
-// same bytes as the barriered rounds 1+2, still with no aligned stage.
-TEST_F(StreamingPipelineTest, StreamingWithoutPipelinedMatchesBarriered) {
-  Run barriered = RunMode(/*streaming=*/false);
-  Run streaming = RunMode(/*streaming=*/true, /*pipelined=*/false);
-
-  ASSERT_EQ(streaming.variants.size(), barriered.variants.size());
-  for (size_t i = 0; i < streaming.variants.size(); ++i) {
-    EXPECT_EQ(streaming.variants[i].Key(), barriered.variants[i].Key());
-    EXPECT_EQ(streaming.variants[i].qual, barriered.variants[i].qual);
-  }
-
-  EXPECT_TRUE(streaming.dfs->List("/gesall/aligned/").empty());
-  for (const char* dir :
-       {"/gesall/cleaned/", "/gesall/dedup/", "/gesall/sorted/"}) {
-    std::vector<std::string> paths = barriered.dfs->List(dir);
-    ASSERT_EQ(streaming.dfs->List(dir), paths) << dir;
-    for (const auto& path : paths) {
-      auto a = barriered.dfs->Read(path);
-      auto b = streaming.dfs->Read(path);
-      ASSERT_TRUE(a.ok() && b.ok()) << path;
-      EXPECT_TRUE(a.ValueOrDie() == b.ValueOrDie()) << path;
-    }
-  }
-
-  const auto& stats = streaming.pipeline->stats();
-  ASSERT_FALSE(stats.empty());
-  EXPECT_EQ(stats.front().name, "round1_2_streamed");
-  EXPECT_GT(stats.front().counters.Get("stream_batches"), 0);
-  EXPECT_TRUE(streaming.pipeline->SummarizeExecution().streaming);
-  EXPECT_FALSE(streaming.pipeline->SummarizeExecution().pipelined);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "align/aligner.h"
 #include "genome/read_simulator.h"
 #include "genome/reference_generator.h"
@@ -116,6 +118,27 @@ TEST_F(ReportTest, DiskBytesSectionRendersStorageSummary) {
   EXPECT_NE(report.markdown.find("round-trips byte-identically"),
             std::string::npos);
   EXPECT_EQ(report.storage.shuffle_bytes_raw, 4'000'000);
+}
+
+TEST_F(ReportTest, ExecutionEngineSectionNamesTheSchedule) {
+  DiagnosisReportInputs inputs;
+  inputs.reference = ref_;
+  inputs.serial = serial_;
+  inputs.parallel_aligned = &serial_->aligned;
+  inputs.parallel_deduped = &serial_->deduped;
+  inputs.parallel_variants = &serial_->variants;
+  ExecutionSummary ex;
+  inputs.execution = &ex;
+  for (const auto& [pipelined, streaming, mode] :
+       {std::tuple(false, false, "- mode: barriered rounds"),
+        std::tuple(true, false, "- mode: pipelined (per-partition overlap)"),
+        std::tuple(true, true, "- mode: streaming (rounds 1+2 fused")}) {
+    ex.pipelined = pipelined;
+    ex.streaming = streaming;
+    auto report = GenerateDiagnosisReport(inputs).ValueOrDie();
+    EXPECT_NE(report.markdown.find("## Execution engine"), std::string::npos);
+    EXPECT_NE(report.markdown.find(mode), std::string::npos) << mode;
+  }
 }
 
 TEST_F(ReportTest, CorruptedVariantsTriggerReview) {

@@ -216,14 +216,6 @@ TEST(MapReduceNodeFailureTest, NoNodeModelStillVerifiesChecksums) {
   EXPECT_GT(result.counters.Get("shuffle_partitions_verified"), 0);
   EXPECT_GT(result.counters.Get("shuffle_checksummed_bytes"), 0);
   EXPECT_EQ(result.counters.Get("map_tasks_reexecuted"), 0);
-
-  // Opting out removes both the sums and the verification work.
-  JobConfig off;
-  off.checksum_shuffle = false;
-  auto plain = RunWordCount(off, WordSplits(4)).ValueOrDie();
-  EXPECT_EQ(plain.counters.Get("shuffle_partitions_verified"), 0);
-  EXPECT_EQ(plain.counters.Get("shuffle_checksummed_bytes"), 0);
-  EXPECT_EQ(plain.reducer_outputs, result.reducer_outputs);
 }
 
 TEST(MapReduceNodeFailureTest, ValidateConfigRejectsNegativeKnobs) {

@@ -262,6 +262,14 @@ TEST(ShuffleCompressionTest, JobOutputsIdenticalWithCompressionOn) {
         << "sort_buffer " << sort_buffer;
     EXPECT_EQ(on.counters.Get("reduce_shuffle_records"),
               off.counters.Get("reduce_shuffle_records"));
+    // A reduce's shuffle input is its records' keys and values, with or
+    // without the codec: the spill framing is not shuffle input.
+    EXPECT_EQ(on.counters.Get("reduce_shuffle_bytes"),
+              off.counters.Get("reduce_shuffle_bytes"));
+    ASSERT_EQ(on.tasks.size(), off.tasks.size());
+    for (size_t i = 0; i < on.tasks.size(); ++i) {
+      EXPECT_EQ(on.tasks[i].input_bytes, off.tasks[i].input_bytes) << i;
+    }
     // Compression counters flow only on the compressed run.
     EXPECT_GT(on.counters.Get("shuffle_spill_bytes_raw"), 0);
     EXPECT_GT(on.counters.Get("shuffle_spill_bytes_compressed"), 0);

@@ -364,6 +364,11 @@ TEST_F(ServiceRecoveryTest, GracefulShutdownRequeuesQueuedJobs) {
     auto id0 = service.Submit(MakeJob("alpha"));
     ASSERT_TRUE(id0.ok());
     running = id0.ValueOrDie();
+    // The runner must hold the first job before the drain: a drain that
+    // finds it still queued returns at once, and it would never start.
+    while (service.running_jobs() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     auto id1 = service.Submit(MakeJob("alpha"));
     ASSERT_TRUE(id1.ok());
     queued1 = id1.ValueOrDie();

@@ -137,8 +137,8 @@ TEST(ExecutorTest, HighPriorityRunsBeforeNormalOnSameWorker) {
   executor.Submit([&] { record(1); });
   executor.Submit([&] { record(2); });
   executor.Submit([&] { record(0); }, Executor::Priority::kHigh);
-  std::atomic<bool> fence{false};
-  executor.Submit([&] { fence = true; }, Executor::Priority::kLow);
+  std::atomic<bool> fence{false};  // FIFO after the normals
+  executor.Submit([&] { fence = true; });
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;

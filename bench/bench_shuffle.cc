@@ -475,8 +475,7 @@ RunResult RunArena(const Workload& w, const Partitioner& partitioner,
   std::vector<ShuffleBuffer> tasks;
   tasks.reserve(kNumMapTasks);
   for (int t = 0; t < kNumMapTasks; ++t) {
-    tasks.emplace_back(kNumPartitions, kSortBufferBytes,
-                       /*combiner=*/nullptr, checksum);
+    tasks.emplace_back(kNumPartitions, kSortBufferBytes, checksum);
   }
   // Batched engine counters, as in MapContextImpl.
   int64_t records = 0, bytes = 0;
@@ -539,8 +538,7 @@ RunResult RunCompressed(const Workload& w, const Partitioner& partitioner,
   std::vector<ShuffleBuffer> tasks;
   tasks.reserve(kNumMapTasks);
   for (int t = 0; t < kNumMapTasks; ++t) {
-    tasks.emplace_back(kNumPartitions, kSortBufferBytes,
-                       /*combiner=*/nullptr, /*checksum=*/true,
+    tasks.emplace_back(kNumPartitions, kSortBufferBytes, /*checksum=*/true,
                        /*compress=*/true, kCompressLevel, executor);
   }
   for (int i = 0; i < kNumRecords; ++i) {

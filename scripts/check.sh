@@ -17,8 +17,8 @@
 # only build the suites that exercise the risky machinery.
 #   - ASan (mr_test, util_test, align_test, dfs_test, service_test,
 #     formats_test):
-#     arena lifetime bugs — views outliving a spill, combiner emits into
-#     a moved arena — are exactly what ASan catches and what the plain
+#     arena lifetime bugs — views outliving a spill or the arena they
+#     point into — are exactly what ASan catches and what the plain
 #     build can silently survive; the banded SIMD aligner's
 #     scratch-buffer reuse and unaligned vector loads get the same
 #     treatment via the differential suite. The dfs and service suites
@@ -34,7 +34,12 @@
 #     where an overread is silent without ASan. The split-block decoder
 #     (util_test's hostile split payloads) and the BAM record parser
 #     with its block builder (formats_test: bam_test, bam_fuzz_test)
-#     copy spans at offsets read from disk.
+#     copy spans at offsets read from disk. The suites run with single
+#     allocations capped at 256 MiB (max_allocation_size_mb): the
+#     largest a passing suite makes is 11.75 MiB (align_test), while a
+#     decoder that sizes a buffer from a lying length or count asks for
+#     GiBs, so it aborts with allocation-size-too-big instead of
+#     zero-filling the machine's memory.
 #   - UBSan (dfs_test, mr_test, align_test, util_test, formats_test):
 #     the integrity layer's checksum kernels (unaligned word loads,
 #     table folds, shift combines), the fault-injection arithmetic, the
@@ -56,7 +61,7 @@
 #     correctness-matrix and PipelineScheduleTest filters run whole
 #     pipelines through the one stage table in every schedule —
 #     barriered, pipelined, streamed, serial, and resumed after a cancel
-#     or a DFS crash, with and without the codec, combiners and faults —
+#     or a DFS crash, with and without the codec and faults —
 #     where every reduce builds and writes its partition on its worker
 #     with a nested parallel BGZF deflate, and a resumed overlapped run
 #     starts jobs against gates its sealed rounds fired before the jobs
@@ -95,12 +100,11 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DGESALL_SANITIZE=address
   cmake --build build-asan -j --target mr_test util_test align_test \
     dfs_test service_test formats_test
-  ./build-asan/tests/mr_test
-  ./build-asan/tests/util_test
-  ./build-asan/tests/align_test
-  ./build-asan/tests/dfs_test
-  ./build-asan/tests/service_test
-  ./build-asan/tests/formats_test
+  asan_options="max_allocation_size_mb=256${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
+  for suite in mr_test util_test align_test dfs_test service_test \
+    formats_test; do
+    ASAN_OPTIONS="$asan_options" "./build-asan/tests/$suite"
+  done
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then

@@ -720,13 +720,14 @@ Status Dfs::DecodeBlock(BufferReader* r, int64_t* id, BlockMeta* bm) {
   GESALL_RETURN_NOT_OK(r->GetI32(&next_ordinal));
   bm->next_ordinal = next_ordinal;
   uint32_t n_sums = 0;
-  GESALL_RETURN_NOT_OK(r->GetU32(&n_sums));
+  GESALL_RETURN_NOT_OK(r->GetCount(&n_sums, sizeof(uint32_t)));
   bm->chunk_sums.resize(n_sums);
   for (uint32_t i = 0; i < n_sums; ++i) {
     GESALL_RETURN_NOT_OK(r->GetU32(&bm->chunk_sums[i]));
   }
   uint32_t n_replicas = 0;
-  GESALL_RETURN_NOT_OK(r->GetU32(&n_replicas));
+  // A replica is two i32s.
+  GESALL_RETURN_NOT_OK(r->GetCount(&n_replicas, 2 * sizeof(int32_t)));
   bm->replicas.resize(n_replicas);
   for (uint32_t i = 0; i < n_replicas; ++i) {
     int32_t node = 0;
@@ -765,7 +766,7 @@ Status Dfs::ApplySnapshotLocked(std::string_view payload) {
     FileMeta fm;
     GESALL_RETURN_NOT_OK(r.GetI64(&fm.size));
     uint32_t n_blocks = 0;
-    GESALL_RETURN_NOT_OK(r.GetU32(&n_blocks));
+    GESALL_RETURN_NOT_OK(r.GetCount(&n_blocks, sizeof(int64_t)));
     fm.blocks.resize(n_blocks);
     for (uint32_t b = 0; b < n_blocks; ++b) {
       GESALL_RETURN_NOT_OK(r.GetI64(&fm.blocks[b]));

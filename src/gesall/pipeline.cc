@@ -191,35 +191,6 @@ class CleaningMapper : public Mapper {
   ReadGroup read_group_;
 };
 
-// Round-2 combiner: when both mates of a read-name group land in the
-// same spill run, FixMateInformation is pre-applied map-side. Legal
-// because FixMateInformation is idempotent (each mate's fields are set
-// from the pair's own unmodified fields), so the reducer re-applying it
-// to the combined pair produces identical bytes; groups that span spill
-// runs or map tasks pass through untouched.
-class FixMateCombiner : public Combiner {
- public:
-  Status Combine(std::string_view key,
-                 const std::vector<std::string_view>& values,
-                 CombineEmitter* out) override {
-    (void)key;
-    if (values.size() != 2) {
-      for (const auto& v : values) out->Emit(v);
-      return Status::OK();
-    }
-    std::vector<SamRecord> records;
-    records.reserve(2);
-    for (const auto& v : values) {
-      size_t offset = 0;
-      GESALL_ASSIGN_OR_RETURN(SamRecord rec, DecodeBamRecord(v, &offset));
-      records.push_back(std::move(rec));
-    }
-    GESALL_RETURN_NOT_OK(FixMateInformation(&records));
-    for (const auto& r : records) out->Emit(EncodeBamRecord(r));
-    return Status::OK();
-  }
-};
-
 class FixMateReducer : public Reducer {
  public:
   Status Reduce(const std::string& key,
@@ -338,36 +309,6 @@ class MarkDupMapper : public Mapper {
 
  private:
   const BloomFilter* bloom_;
-};
-
-// Round-3 combiner: defensive dedup of criterion-2 representatives. The
-// 'E'-group reducer treats kEndRepresentative values purely as an
-// existence flag (it never emits them), so dropping all but the first in
-// a spill run cannot change the output. 'P' and 'U' groups pass through
-// untouched: every one of their records survives to the round's output,
-// so there is nothing to collapse map-side.
-class MarkDupCombiner : public Combiner {
- public:
-  Status Combine(std::string_view key,
-                 const std::vector<std::string_view>& values,
-                 CombineEmitter* out) override {
-    if (key.empty()) return Status::Internal("empty markdup key");
-    if (key[0] != 'E') {
-      for (const auto& v : values) out->Emit(v);
-      return Status::OK();
-    }
-    bool seen_representative = false;
-    for (const auto& v : values) {
-      if (v.empty()) return Status::Corruption("short markdup value");
-      if (static_cast<MarkDupRole>(v[0]) ==
-          MarkDupRole::kEndRepresentative) {
-        if (seen_representative) continue;
-        seen_representative = true;
-      }
-      out->Emit(v);
-    }
-    return Status::OK();
-  }
 };
 
 class MarkDupReducer : public Reducer {
@@ -904,7 +845,6 @@ struct GesallPipeline::Stage {
   MapperFactory mapper;
   ReducerFactory reducer;  // null: map-only
   int reducers = 0;
-  CombinerFactory combiner;
   std::shared_ptr<const Partitioner> partitioner;
   // Partition i lands as <output_dir>part-<i>.bam (+ .bai with_index):
   // built and written on its reduce worker, or, map-only, map task i's
@@ -952,9 +892,6 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
   clean.round = kRoundCleaning;
   clean.reducer = [] { return std::make_unique<FixMateReducer>(); };
   clean.reducers = config_.cleaning_reducers;
-  if (config_.use_combiners) {
-    clean.combiner = [] { return std::make_unique<FixMateCombiner>(); };
-  }
   clean.output_dir = cleaned_dir_;
   clean.output_header = header_;
   if (config_.streaming) {
@@ -1054,9 +991,6 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
   };
   markdup.reducer = [] { return std::make_unique<MarkDupReducer>(); };
   markdup.reducers = config_.markdup_reducers;
-  if (config_.use_combiners) {
-    markdup.combiner = [] { return std::make_unique<MarkDupCombiner>(); };
-  }
   markdup.output_dir = dedup_dir_;
   markdup.output_header = header_;
   stages.push_back(std::move(markdup));
@@ -1364,7 +1298,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(
                               stage.splits(gates));
       JobConfig cfg = MakeJobConfig(stage.reducers);
       cfg.throttle = throttle;
-      cfg.combiner_factory = stage.combiner;
       l.errors = std::make_shared<ParkedError>();
       if (out != nullptr) {
         cfg.on_partition_output =

@@ -77,11 +77,6 @@ struct PipelineConfig {
   bool compress_shuffle = false;
   /// zlib level for compress_shuffle (-1 = zlib default, else 0..9).
   int shuffle_compress_level = -1;
-  /// Arm the map-side combiners of rounds 2 and 3 (Hadoop combiner
-  /// analog). Combiners are output-preserving: variant calls and every
-  /// per-record counter are identical either way; only map-side work
-  /// (pre-applied FixMate, deduped criterion-2 representatives) moves.
-  bool use_combiners = true;
 
   ReadGroup read_group{"rg1", "sample1", "lib1"};
   PairedAlignerOptions aligner;

@@ -106,15 +106,13 @@ class MapContextImpl : public MapContext {
   // values in order and drop their keys. Otherwise emits enter the
   // task's shuffle.
   MapContextImpl(const Partitioner* partitioner, const JobConfig& cfg,
-                 Combiner* combiner, Executor* executor, MapTaskOutput* out)
+                 Executor* executor, MapTaskOutput* out)
       : partitioner_(partitioner), num_partitions_(cfg.num_reducers),
         out_(out) {
     if (partitioner_ == nullptr) return;
     out_->shuffle = std::make_unique<ShuffleBuffer>(
-        cfg.num_reducers, cfg.sort_buffer_bytes, combiner,
-        /*checksum=*/true, cfg.compress_shuffle,
-        cfg.shuffle_compress_level,
-        cfg.compress_shuffle ? executor : nullptr);
+        cfg.num_reducers, cfg.sort_buffer_bytes, /*checksum=*/true,
+        cfg.compress_shuffle, cfg.shuffle_compress_level, executor);
   }
 
   void Emit(std::string key, std::string value) override {
@@ -130,7 +128,7 @@ class MapContextImpl : public MapContext {
       Keep(std::string(value));
       return;
     }
-    if (!emit_status_.ok()) return;  // combiner already failed; drop
+    if (!emit_status_.ok()) return;  // a spill already failed; drop
     int p = partitioner_->Partition(key, num_partitions_);
     ++records_;
     bytes_ += static_cast<int64_t>(key.size() + value.size());
@@ -153,7 +151,7 @@ class MapContextImpl : public MapContext {
   }
 
   // Final spill + map-side merge (the Fig. 5(b) overhead), then counter
-  // flush. Propagates deferred combiner failures.
+  // flush. Propagates deferred spill failures.
   Status FinishTask() {
     if (partitioner_ == nullptr) {
       FlushCounters();
@@ -166,11 +164,6 @@ class MapContextImpl : public MapContext {
     if (s.spills > 0) out_->counters.Add("map_spills", s.spills);
     if (s.merge_bytes > 0) {
       out_->counters.Add("map_merge_bytes", s.merge_bytes);
-    }
-    if (s.combine_input_records > 0) {
-      out_->counters.Add("combine_input_records", s.combine_input_records);
-      out_->counters.Add("combine_output_records",
-                         s.combine_output_records);
     }
     if (s.checksummed_bytes > 0) {
       out_->counters.Add("shuffle_checksummed_bytes", s.checksummed_bytes);
@@ -322,14 +315,8 @@ void ExecuteMap(JobState* s, size_t i) {
           LoadSplitAttempt(s->splits[i], static_cast<int>(i), attempt,
                            cfg.fault_injector));
       out->record.input_bytes = static_cast<int64_t>(input.size());
-      // Each attempt gets a fresh combiner instance so stateful
-      // combiners cannot leak state across attempts.
-      std::unique_ptr<Combiner> combiner;
-      if (!s->map_only && cfg.combiner_factory) {
-        combiner = cfg.combiner_factory();
-      }
       MapContextImpl ctx(s->map_only ? nullptr : s->partitioner, cfg,
-                         combiner.get(), s->executor, out);
+                         s->executor, out);
       auto mapper = s->mapper_factory();
       Status st = mapper->Map(input, &ctx);
       if (st.ok()) {

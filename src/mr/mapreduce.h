@@ -8,10 +8,9 @@
 // ties between equal keys resolve by (map task index, emission order).
 //
 // The shuffle data path is zero-copy (see mr/shuffle_buffer.h): emitted
-// bytes land in per-partition arenas, sorting and merging move 40-byte
+// bytes land in per-partition arenas, sorting and merging move 48-byte
 // index entries, and reducers receive string_view groups into the frozen
-// arenas. An optional JobConfig::combiner_factory arms a Hadoop-style
-// map-side combiner over every sorted spill run.
+// arenas.
 //
 // Every map task, of a full or a map-only job, runs one path: load the
 // split, run the mapper over it, and route each emit. A full job's emits
@@ -209,11 +208,6 @@ struct JobConfig {
       on_partition_output;
   /// Map-side sort buffer; exceeding it spills a sorted run to "disk".
   int64_t sort_buffer_bytes = 64LL << 20;
-  /// Optional map-side combiner (Hadoop combiner analog): runs over every
-  /// sorted spill run before it freezes, collapsing each key group's
-  /// values. Must be an associative pre-reduce that does not change the
-  /// job's final output (see Combiner). Unset disables combining.
-  CombinerFactory combiner_factory;
 
   // --- Fault tolerance (Hadoop task-attempt analogs) ---
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <queue>
 #include <string>
 #include <utility>
@@ -75,27 +76,6 @@ Status AppendFramedRecord(BgzfWriter* w, std::string_view key,
   return w->Append(value);
 }
 
-// Appends combiner output for one key group into the frozen run,
-// charging combined values to the partition arena.
-class ArenaCombineEmitter : public CombineEmitter {
- public:
-  ArenaCombineEmitter(Arena* arena, const ShuffleEntry* group,
-                      ShuffleRun* out, int64_t* emitted)
-      : arena_(arena), group_(group), out_(out), emitted_(emitted) {}
-
-  void Emit(std::string_view value) override {
-    out_->push_back({group_->prefix, group_->prefix2, group_->key,
-                     arena_->Append(value)});
-    ++*emitted_;
-  }
-
- private:
-  Arena* arena_;
-  const ShuffleEntry* group_;
-  ShuffleRun* out_;
-  int64_t* emitted_;
-};
-
 }  // namespace
 
 bool CompressedShuffleRunReader::NextBlock() {
@@ -141,9 +121,11 @@ bool CompressedShuffleRunReader::ReadSpan(size_t n, std::string_view* out) {
   }
   // Straddles the block cut: stitch through the carry buffer. The whole
   // span lands in carry_, so the key/value views inside it survive the
-  // scratch_ reloads below (until the next Advance()).
+  // scratch_ reloads below (until the next Advance()). n comes from an
+  // unchecked record header, so carry_ grows only as bytes arrive: a
+  // length that overruns the run fails as truncated, never as a
+  // multi-GiB reservation.
   carry_.clear();
-  carry_.reserve(n);
   while (n > 0) {
     if (pos_ == scratch_.size()) {
       if (!NextBlock()) {
@@ -193,12 +175,11 @@ const ShuffleEntry* CompressedShuffleRunReader::Advance() {
 }
 
 ShuffleBuffer::ShuffleBuffer(int num_partitions, int64_t sort_buffer_bytes,
-                             Combiner* combiner, bool checksum, bool compress,
-                             int compress_level, Executor* executor)
-    : sort_buffer_bytes_(sort_buffer_bytes), combiner_(combiner),
-      checksum_(checksum), compress_(compress),
-      compress_level_(compress_level), executor_(executor),
-      parts_(num_partitions > 0 ? num_partitions : 0) {}
+                             bool checksum, bool compress, int compress_level,
+                             Executor* executor)
+    : sort_buffer_bytes_(sort_buffer_bytes), checksum_(checksum),
+      compress_(compress), compress_level_(compress_level),
+      executor_(executor), parts_(num_partitions > 0 ? num_partitions : 0) {}
 
 Status ShuffleBuffer::Add(int p, std::string_view key,
                           std::string_view value) {
@@ -222,11 +203,8 @@ Status ShuffleBuffer::SpillAll() {
   if (dirty.empty()) return Status::OK();
   ++stats_.spills;
   // Compressed spills are cpu-bound (sort + deflate) and touch only
-  // their own partition, so fan them out when an executor is armed. A
-  // shared combiner instance is not thread-safe — combining stays
-  // serial.
-  if (compress_ && executor_ != nullptr && combiner_ == nullptr &&
-      dirty.size() > 1) {
+  // their own partition, so fan them out when an executor is armed.
+  if (compress_ && executor_ != nullptr && dirty.size() > 1) {
     std::vector<Status> statuses(dirty.size());
     TaskGroup group(executor_);
     for (size_t i = 0; i < dirty.size(); ++i) {
@@ -266,42 +244,15 @@ Status ShuffleBuffer::SpillPartition(Partition* part) {
   // documented (map task, emission order) tie-break.
   std::stable_sort(part->pending.begin(), part->pending.end(),
                    ShuffleKeyLess);
-  if (combiner_ == nullptr) {
-    if (compress_) {
-      GESALL_RETURN_NOT_OK(CompressRun(part, part->pending));
-      part->pending.clear();
-      // The raw bytes now live only in the compressed frame; releasing
-      // the arena is the memory win of compressed spills.
-      part->arena.Clear();
-      return Status::OK();
-    }
-    part->runs.push_back(std::move(part->pending));
-    part->pending.clear();
-    return Status::OK();
-  }
-  ShuffleRun combined;
-  std::vector<std::string_view> values;
-  const ShuffleRun& run = part->pending;
-  for (size_t i = 0; i < run.size();) {
-    size_t j = i;
-    values.clear();
-    while (j < run.size() && ShuffleKeyEqual(run[j], run[i])) {
-      values.push_back(run[j].value);
-      ++j;
-    }
-    stats_.combine_input_records += static_cast<int64_t>(j - i);
-    ArenaCombineEmitter emit(&part->arena, &run[i], &combined,
-                             &stats_.combine_output_records);
-    GESALL_RETURN_NOT_OK(combiner_->Combine(run[i].key, values, &emit));
-    i = j;
-  }
   if (compress_) {
-    GESALL_RETURN_NOT_OK(CompressRun(part, combined));
+    GESALL_RETURN_NOT_OK(CompressRun(part, part->pending));
     part->pending.clear();
+    // The raw bytes now live only in the compressed frame; releasing
+    // the arena is the memory win of compressed spills.
     part->arena.Clear();
     return Status::OK();
   }
-  part->runs.push_back(std::move(combined));
+  part->runs.push_back(std::move(part->pending));
   part->pending.clear();
   return Status::OK();
 }

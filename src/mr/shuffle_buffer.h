@@ -17,18 +17,11 @@
 // 64 KiB block at a time into per-cursor scratch buffers, so the k-way
 // merge never inflates a whole run. Per-chunk CRC32C sums seal the
 // compressed frames, exactly as they seal raw arenas.
-//
-// An optional Combiner (Hadoop combiner semantics: an associative,
-// output-preserving pre-reduce) runs over each sorted spill run before it
-// freezes, collapsing a key group's values map-side; combined values are
-// appended to the same arena.
 
 #ifndef GESALL_MR_SHUFFLE_BUFFER_H_
 #define GESALL_MR_SHUFFLE_BUFFER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -95,35 +88,6 @@ inline bool ShuffleKeyLess(const ShuffleEntry& a, const ShuffleEntry& b) {
 inline bool ShuffleKeyEqual(const ShuffleEntry& a, const ShuffleEntry& b) {
   return a.prefix == b.prefix && a.prefix2 == b.prefix2 && a.key == b.key;
 }
-
-/// \brief Sink for values a Combiner re-emits for the current key group.
-class CombineEmitter {
- public:
-  virtual ~CombineEmitter() = default;
-  /// The bytes are copied into the shuffle arena before returning, so
-  /// the caller may reuse its buffer.
-  virtual void Emit(std::string_view value) = 0;
-};
-
-/// \brief Map-side pre-reduce (Hadoop combiner semantics).
-///
-/// Called once per key group of a sorted spill run, with the group's
-/// values in emission order. The values emitted through `out` replace
-/// the group's values (the key is unchanged) in the frozen run. A
-/// combiner MUST be an associative, order-respecting pre-reduce that
-/// does not change the job's final reducer output: the engine may run it
-/// zero or more times over any subset of a key's values (a key group can
-/// span spill runs and map tasks), so `reduce(combine(xs)) ==
-/// reduce(xs)` must hold.
-class Combiner {
- public:
-  virtual ~Combiner() = default;
-  virtual Status Combine(std::string_view key,
-                         const std::vector<std::string_view>& values,
-                         CombineEmitter* out) = 0;
-};
-
-using CombinerFactory = std::function<std::unique_ptr<Combiner>()>;
 
 /// \brief One frozen, key-sorted run of entries.
 using ShuffleRun = std::vector<ShuffleEntry>;
@@ -309,14 +273,12 @@ class ShuffleRunMerger {
   bool advance_pending_ = false;
 };
 
-/// \brief Spill/merge/combine accounting of one map task's shuffle.
+/// \brief Spill/merge accounting of one map task's shuffle.
 struct ShuffleStats {
   int64_t spills = 0;
   /// Bytes rewritten by the map-side merge of multi-run partitions (the
   /// Fig. 5(b) "merge bytes" overhead).
   int64_t merge_bytes = 0;
-  int64_t combine_input_records = 0;
-  int64_t combine_output_records = 0;
   /// Arena bytes sealed under per-chunk CRC32C sums at Finish (0 with
   /// checksumming disabled). With compression on, covers the compressed
   /// frames instead of raw arenas.
@@ -351,27 +313,25 @@ class ShuffleBuffer {
 
   /// `sort_buffer_bytes` is the spill threshold over the buffered-record
   /// accounting (key + value + per-record overhead), the
-  /// mapreduce.task.io.sort.mb analog. `combiner` (optional, not owned)
-  /// runs over every sorted spill run before it freezes. With `checksum`
-  /// on, Finish() seals each partition's spill byte stream — the raw
-  /// arena, or the compressed frames with `compress` on — under
-  /// per-64KiB-chunk CRC32C sums (the IFile checksum analog) that
-  /// VerifyPartition rechecks at fetch time. With `compress` on, every
-  /// sealed spill run is serialized through the BGZF codec at
-  /// `compress_level` and its arena bytes are released; `executor`
-  /// (optional, not owned) fans the per-partition spill work out as
-  /// parallel tasks when no combiner is armed.
+  /// mapreduce.task.io.sort.mb analog. With `checksum` on, Finish()
+  /// seals each partition's spill byte stream — the raw arena, or the
+  /// compressed frames with `compress` on — under per-64KiB-chunk
+  /// CRC32C sums (the IFile checksum analog) that VerifyPartition
+  /// rechecks at fetch time. With `compress` on, every sealed spill run
+  /// is serialized through the BGZF codec at `compress_level` and its
+  /// arena bytes are released; `executor` (optional, not owned) fans the
+  /// per-partition spill work out as parallel tasks.
   ShuffleBuffer(int num_partitions, int64_t sort_buffer_bytes,
-                Combiner* combiner = nullptr, bool checksum = true,
-                bool compress = false, int compress_level = kBgzfDefaultLevel,
+                bool checksum = true, bool compress = false,
+                int compress_level = kBgzfDefaultLevel,
                 Executor* executor = nullptr);
 
   ShuffleBuffer(ShuffleBuffer&&) = default;
   ShuffleBuffer& operator=(ShuffleBuffer&&) = default;
 
   /// Copies one record into partition `p`'s arena. May spill (sort +
-  /// combine + freeze) every partition when the buffered accounting
-  /// exceeds the sort buffer. Fails only if the combiner fails.
+  /// freeze) every partition when the buffered accounting exceeds the
+  /// sort buffer. Fails only if a compressed spill fails.
   Status Add(int p, std::string_view key, std::string_view value);
 
   /// Final spill plus the map-side merge: collapses each partition's
@@ -431,7 +391,6 @@ class ShuffleBuffer {
 
   int64_t sort_buffer_bytes_;
   int64_t buffered_bytes_ = 0;
-  Combiner* combiner_;
   bool checksum_;
   bool compress_;
   int compress_level_;

@@ -29,7 +29,8 @@ void EncodeFastq(BufferWriter* w, const std::vector<FastqRecord>& reads) {
 
 Status DecodeFastq(BufferReader* r, std::vector<FastqRecord>* out) {
   uint32_t n = 0;
-  GESALL_RETURN_NOT_OK(r->GetU32(&n));
+  // A read is at least its three strings' u32 lengths.
+  GESALL_RETURN_NOT_OK(r->GetCount(&n, 3 * sizeof(uint32_t)));
   out->resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     GESALL_RETURN_NOT_OK(r->GetString(&(*out)[i].name));
@@ -60,7 +61,6 @@ void EncodeJobPayload(BufferWriter* w, JobId id, const JobSpec& spec) {
   w->PutI64(p.markdup_reducers);
   w->PutU8(p.markdup_use_bloom ? 1 : 0);
   w->PutI64(p.max_parallel_tasks);
-  w->PutU8(p.use_combiners ? 1 : 0);
   w->PutString(p.read_group.id);
   w->PutString(p.read_group.sample);
   w->PutString(p.read_group.library);
@@ -118,8 +118,6 @@ Status DecodeJobPayload(BufferReader* r, JobId* id, JobSpec* spec) {
   p.markdup_use_bloom = u8 != 0;
   GESALL_RETURN_NOT_OK(r->GetI64(&i64));
   p.max_parallel_tasks = static_cast<int>(i64);
-  GESALL_RETURN_NOT_OK(r->GetU8(&u8));
-  p.use_combiners = u8 != 0;
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.id));
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.sample));
   GESALL_RETURN_NOT_OK(r->GetString(&p.read_group.library));
@@ -641,7 +639,14 @@ void GesallService::RecoverJobs() {
   JobId max_id = 0;
   auto add = [&](BufferReader* reader) -> Status {
     Pending p;
-    GESALL_RETURN_NOT_OK(DecodeJobPayload(reader, &p.id, &p.spec));
+    const Status decoded = DecodeJobPayload(reader, &p.id, &p.spec);
+    // A checksummed payload that runs out of bytes was written in
+    // another layout (a field it lacks shifts every later one).
+    if (decoded.IsOutOfRange()) {
+      return Status::Corruption("job log: job payload ends early: " +
+                                decoded.message());
+    }
+    GESALL_RETURN_NOT_OK(decoded);
     max_id = std::max(max_id, p.id);
     pending.push_back(std::move(p));
     return Status::OK();

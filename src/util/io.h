@@ -98,6 +98,17 @@ class BufferReader {
     out->assign(sv);
     return Status::OK();
   }
+  /// Reads a u32 element count, then fails with Corruption unless that
+  /// many elements of at least `min_element_bytes` each fit in the bytes
+  /// left, so a lying count never sizes an allocation.
+  Status GetCount(uint32_t* count, size_t min_element_bytes) {
+    GESALL_RETURN_NOT_OK(GetU32(count));
+    if (*count <= remaining() / min_element_bytes) return Status::OK();
+    return Status::Corruption(
+        "count of " + std::to_string(*count) + " elements of at least " +
+        std::to_string(min_element_bytes) + " bytes overruns the " +
+        std::to_string(remaining()) + " bytes left");
+  }
 
  private:
   template <typename T>

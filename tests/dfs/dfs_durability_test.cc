@@ -4,14 +4,18 @@
 // same namespace; filesystem failures surface as IOError.
 
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dfs/dfs.h"
 #include "util/fault_injection.h"
+#include "util/io.h"
 #include "util/rng.h"
+#include "util/wal.h"
 
 namespace gesall {
 namespace {
@@ -47,6 +51,33 @@ class DfsDurabilityTest : public ::testing::Test {
       out[i] = static_cast<char>(MixSeeds(seed, i) % 256);
     }
     return out;
+  }
+
+  // The namespace store a Dfs rooted at root_ recovers from, recovered
+  // empty: a hand-made record or snapshot lands in it CRC-framed.
+  std::unique_ptr<JournaledStore> EmptyNamespaceStore() const {
+    auto store = std::make_unique<JournaledStore>(root_ + "/namespace",
+                                                  DurableOptions().durability);
+    auto none = [](std::string_view) { return Status::OK(); };
+    EXPECT_TRUE(store->Recover(none, none).ok());
+    return store;
+  }
+
+  // Block 1 as the namespace encodes it: four stored bytes on node 0,
+  // with the chunk-sum and replica counts given, each count followed by
+  // one real element.
+  static void PutBlock(BufferWriter* w, uint32_t n_sums,
+                       uint32_t n_replicas) {
+    w->PutI64(1);  // block id
+    w->PutI64(4);  // length
+    w->PutI64(4);  // stored length
+    w->PutU8(0);   // not compressed
+    w->PutI32(1);  // next replica ordinal
+    w->PutU32(n_sums);
+    w->PutU32(0);
+    w->PutU32(n_replicas);
+    w->PutI32(0);  // node
+    w->PutI32(0);  // ordinal
   }
 
   std::string root_;
@@ -248,6 +279,76 @@ TEST_F(DfsDurabilityTest, MissingPayloadDropsWholeFile) {
   EXPECT_EQ(dfs.recovery_stats().files_recovered, 1);
   EXPECT_TRUE(dfs.Exists("/ok"));
   EXPECT_FALSE(dfs.Exists("/hollow"));
+}
+
+// A CRC-valid create record whose block claims 0xFFFFFFF0 chunk sums, or
+// as many replicas, over the few bytes that follow fails recovery as
+// Corruption. With truthful counts the same record replays (and drops
+// the file, whose payload never landed).
+TEST_F(DfsDurabilityTest, LyingBlockCountsFailRecovery) {
+  auto create = [](uint32_t n_sums, uint32_t n_replicas) {
+    std::string record;
+    BufferWriter w(&record);
+    w.PutU8(1);  // create-file opcode
+    w.PutString("/f");
+    w.PutI64(4);  // file size
+    w.PutU32(1);  // blocks
+    PutBlock(&w, n_sums, n_replicas);
+    return record;
+  };
+  const std::pair<uint32_t, uint32_t> counts[] = {
+      {1, 1}, {0xFFFFFFF0u, 1}, {1, 0xFFFFFFF0u}};
+  for (const auto& [n_sums, n_replicas] : counts) {
+    fs::remove_all(root_);
+    {
+      auto store = EmptyNamespaceStore();
+      ASSERT_TRUE(store->Append(create(n_sums, n_replicas)).ok());
+      ASSERT_TRUE(store->Sync().ok());
+    }
+    Dfs dfs(DurableOptions());
+    const Status status = dfs.Write("/g", "x");
+    if (n_sums == 1 && n_replicas == 1) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(dfs.recovery_stats().journal_records_replayed, 1);
+      EXPECT_EQ(dfs.recovery_stats().files_dropped, 1);
+    } else {
+      EXPECT_TRUE(status.IsCorruption())
+          << n_sums << " sums, " << n_replicas << " replicas: "
+          << status.ToString();
+    }
+  }
+}
+
+// A CRC-valid snapshot whose file claims 0xFFFFFFF0 blocks over the few
+// bytes that follow fails recovery as Corruption; with one block it loads.
+TEST_F(DfsDurabilityTest, LyingSnapshotBlockCountFailsRecovery) {
+  auto snapshot = [](uint32_t n_blocks) {
+    std::string payload;
+    BufferWriter w(&payload);
+    w.PutU32(1);  // files
+    w.PutString("/f");
+    w.PutI64(4);  // file size
+    w.PutU32(n_blocks);
+    w.PutI64(1);  // block id
+    w.PutU32(1);  // blocks
+    PutBlock(&w, 1, 1);
+    w.PutI64(2);  // next block id
+    w.PutI64(0);  // heartbeat tick
+    return payload;
+  };
+  for (uint32_t n_blocks : {1u, 0xFFFFFFF0u}) {
+    fs::remove_all(root_);
+    ASSERT_TRUE(EmptyNamespaceStore()->Checkpoint(snapshot(n_blocks)).ok());
+    Dfs dfs(DurableOptions());
+    const Status status = dfs.Write("/g", "x");
+    if (n_blocks == 1) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      EXPECT_TRUE(dfs.recovery_stats().snapshot_loaded);
+      EXPECT_EQ(dfs.recovery_stats().files_dropped, 1);
+    } else {
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    }
+  }
 }
 
 }  // namespace

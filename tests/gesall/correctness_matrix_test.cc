@@ -1,7 +1,7 @@
 // The correctness matrix. The paper's accuracy study (§4.5.2, App. B.2)
 // blames every difference between the parallel and the serial pipeline
-// on partitioning, which holds only if no schedule, codec, combiner,
-// retry or resume adds a difference of its own. Each cell runs the
+// on partitioning, which holds only if no schedule, codec, retry or
+// resume adds a difference of its own. Each cell runs the
 // pipeline with one value of each axis (see Cell) and compares it with
 // the barriered, fault-free, cold run of the same shape: the calls,
 // every stage part the schedule owns byte for byte, and, in cold
@@ -58,7 +58,6 @@ enum class Shape { kStandard, kRecalSegments, kGenotyper };
 struct Cell {
   Schedule schedule;
   bool codec;  // level-1 compress_shuffle plus compress_parts
-  bool combiners;
   Faults faults;
   Resume resume;
   int round;  // resume cells: the PipelineRound whose seal cancels leg 1
@@ -73,50 +72,50 @@ bool Streaming(Schedule s) {
   return s == Schedule::kStreamed || s == Schedule::kStreamedBarriered;
 }
 
-// Five cold fault-free cells (every schedule and shape, every codec x
-// combiners pair), one resume cell per (schedule, sealed round) pair,
-// then cells until every pair of axis values is covered.
+// Five cold fault-free cells (every schedule and shape, both codec
+// settings), one resume cell per (schedule, sealed round) pair, then
+// cells until every pair of axis values is covered.
 std::vector<Cell> Cells() {
   using enum Schedule;
   using enum Faults;
   using enum Resume;
   using enum Shape;
   return {
-      {kBarriered, false, true, kNone, kCold, 0, kStandard},
-      {kBarriered, false, true, kNodes, kMemory, 1, kStandard},
-      {kBarriered, true, false, kNodes, kMemory, 4, kRecalSegments},
-      {kBarriered, false, true, kTasks, kDurable, 2, kGenotyper},
-      {kBarriered, false, true, kTasks, kDurable, 3, kRecalSegments},
-      {kBarriered, true, false, kTasks, kDurable, 5, kGenotyper},
-      {kBarriered, true, false, kTasks, kDurable, 6, kStandard},
-      {kPipelined, true, false, kNone, kCold, 0, kRecalSegments},
-      {kPipelined, true, false, kTasks, kMemory, 3, kRecalSegments},
-      {kPipelined, false, true, kTasks, kMemory, 5, kGenotyper},
-      {kPipelined, true, false, kTasks, kDurable, 1, kStandard},
-      {kPipelined, false, true, kNodes, kDurable, 2, kStandard},
-      {kPipelined, true, false, kTasks, kDurable, 4, kRecalSegments},
-      {kPipelined, true, true, kNone, kDurable, 6, kRecalSegments},
-      {kStreamed, true, true, kNone, kCold, 0, kGenotyper},
-      {kStreamed, true, true, kNodes, kMemory, 5, kStandard},
-      {kStreamed, false, false, kTasks, kMemory, 6, kStandard},
-      {kStreamed, false, false, kNodes, kDurable, 2, kStandard},
-      {kStreamed, false, false, kNone, kDurable, 3, kRecalSegments},
-      {kStreamed, false, false, kTasks, kDurable, 4, kRecalSegments},
-      {kStreamedBarriered, false, false, kNone, kCold, 0, kStandard},
-      {kStreamedBarriered, true, true, kTasks, kCold, 0, kGenotyper},
-      {kStreamedBarriered, false, false, kNone, kMemory, 3, kGenotyper},
-      {kStreamedBarriered, false, true, kTasks, kMemory, 6, kRecalSegments},
-      {kStreamedBarriered, true, true, kNodes, kDurable, 2, kGenotyper},
-      {kStreamedBarriered, true, true, kNone, kDurable, 4, kRecalSegments},
-      {kStreamedBarriered, true, false, kTasks, kDurable, 5, kGenotyper},
-      {kSerial, true, true, kNone, kCold, 0, kRecalSegments},
-      {kSerial, false, false, kNodes, kCold, 0, kRecalSegments},
-      {kSerial, false, false, kTasks, kMemory, 1, kStandard},
-      {kSerial, true, true, kTasks, kMemory, 4, kRecalSegments},
-      {kSerial, false, false, kNodes, kDurable, 2, kGenotyper},
-      {kSerial, false, false, kNodes, kDurable, 3, kRecalSegments},
-      {kSerial, true, true, kTasks, kDurable, 5, kGenotyper},
-      {kSerial, false, true, kNodes, kDurable, 6, kRecalSegments},
+      {kBarriered, false, kNone, kCold, 0, kStandard},
+      {kBarriered, false, kNodes, kMemory, 1, kStandard},
+      {kBarriered, true, kNodes, kMemory, 4, kRecalSegments},
+      {kBarriered, false, kTasks, kDurable, 2, kGenotyper},
+      {kBarriered, false, kTasks, kDurable, 3, kRecalSegments},
+      {kBarriered, true, kTasks, kDurable, 5, kGenotyper},
+      {kBarriered, true, kTasks, kDurable, 6, kStandard},
+      {kPipelined, true, kNone, kCold, 0, kRecalSegments},
+      {kPipelined, true, kTasks, kMemory, 3, kRecalSegments},
+      {kPipelined, false, kTasks, kMemory, 5, kGenotyper},
+      {kPipelined, true, kTasks, kDurable, 1, kStandard},
+      {kPipelined, false, kNodes, kDurable, 2, kStandard},
+      {kPipelined, true, kTasks, kDurable, 4, kRecalSegments},
+      {kPipelined, true, kNone, kDurable, 6, kRecalSegments},
+      {kStreamed, true, kNone, kCold, 0, kGenotyper},
+      {kStreamed, true, kNodes, kMemory, 5, kStandard},
+      {kStreamed, false, kTasks, kMemory, 6, kStandard},
+      {kStreamed, false, kNodes, kDurable, 2, kStandard},
+      {kStreamed, false, kNone, kDurable, 3, kRecalSegments},
+      {kStreamed, false, kTasks, kDurable, 4, kRecalSegments},
+      {kStreamedBarriered, false, kNone, kCold, 0, kStandard},
+      {kStreamedBarriered, true, kTasks, kCold, 0, kGenotyper},
+      {kStreamedBarriered, false, kNone, kMemory, 3, kGenotyper},
+      {kStreamedBarriered, false, kTasks, kMemory, 6, kRecalSegments},
+      {kStreamedBarriered, true, kNodes, kDurable, 2, kGenotyper},
+      {kStreamedBarriered, true, kNone, kDurable, 4, kRecalSegments},
+      {kStreamedBarriered, true, kTasks, kDurable, 5, kGenotyper},
+      {kSerial, true, kNone, kCold, 0, kRecalSegments},
+      {kSerial, false, kNodes, kCold, 0, kRecalSegments},
+      {kSerial, false, kTasks, kMemory, 1, kStandard},
+      {kSerial, true, kTasks, kMemory, 4, kRecalSegments},
+      {kSerial, false, kNodes, kDurable, 2, kGenotyper},
+      {kSerial, false, kNodes, kDurable, 3, kRecalSegments},
+      {kSerial, true, kTasks, kDurable, 5, kGenotyper},
+      {kSerial, false, kNodes, kDurable, 6, kRecalSegments},
   };
 }
 
@@ -128,8 +127,7 @@ std::string CellName(const Cell& c) {
   static const char* kShape[] = {"Standard", "RecalSegments", "Genotyper"};
   std::ostringstream os;
   os << kSchedule[static_cast<int>(c.schedule)]
-     << (c.codec ? "_Codec" : "_Plain")
-     << (c.combiners ? "_Combiners_" : "_NoCombiners_")
+     << (c.codec ? "_Codec_" : "_Plain_")
      << kFault[static_cast<int>(c.faults)] << "_"
      << kResume[static_cast<int>(c.resume)];
   if (c.resume != Resume::kCold) os << c.round;
@@ -245,7 +243,7 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
     so.duplicate_rate = 0.05;
     sample_ = new SimulatedSample(SimulateReads(*donor_, so));
     index_ = new GenomeIndex(*ref_);
-    baselines_ = new std::map<std::pair<Shape, bool>, Baseline>;
+    baselines_ = new std::map<Shape, Baseline>;
   }
 
   static void TearDownTestSuite() {
@@ -271,15 +269,14 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
     return dopt;
   }
 
-  // A 64 KiB sort buffer, so spills, combiners and map-side merges run,
-  // and 64-pair aligner batches, so each streamed map task runs several.
+  // A 64 KiB sort buffer, so spills and map-side merges run, and 64-pair
+  // aligner batches, so each streamed map task runs several.
   static PipelineConfig ConfigFor(const Cell& cell, FaultInjector* injector,
                                   Executor* serial) {
     PipelineConfig config;
     config.alignment_partitions = 3;
     config.sort_buffer_bytes = 64 << 10;
     config.aligner.batch_size = 64;
-    config.use_combiners = cell.combiners;
     config.compress_shuffle = cell.codec;
     config.shuffle_compress_level = 1;
     config.pipelined = Pipelined(cell.schedule);
@@ -317,12 +314,12 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
   }
 
   // The barriered, fault-free, cold run of `shape`, run once per suite.
-  static const Baseline& BaselineFor(Shape shape, bool combiners) {
-    auto [it, fresh] = baselines_->try_emplace({shape, combiners});
+  static const Baseline& BaselineFor(Shape shape) {
+    auto [it, fresh] = baselines_->try_emplace(shape);
     Baseline& baseline = it->second;
     if (!fresh) return baseline;
-    const Cell cold{Schedule::kBarriered, false, combiners, Faults::kNone,
-                    Resume::kCold, 0, shape};
+    const Cell cold{Schedule::kBarriered, false, Faults::kNone, Resume::kCold,
+                    0, shape};
     Dfs dfs(DfsOptionsFor(cold, ""));
     GesallPipeline pipeline(*ref_, *index_, &dfs,
                             ConfigFor(cold, nullptr, nullptr));
@@ -379,7 +376,6 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
       EXPECT_EQ(storage.shuffle_bytes_compressed, 0);
       EXPECT_EQ(storage.dfs_bytes_compressed, storage.dfs_bytes_raw);
     }
-    EXPECT_EQ(merged.Get("combine_input_records") > 0, cell.combiners);
     const FaultToleranceSummary tasks =
         SummarizeFaultTolerance(merged, &dfs_stats);
     const NodeFailureSummary nodes = SummarizeNodeFailures(merged, &dfs_stats);
@@ -430,13 +426,12 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
   static inline DonorGenome* donor_ = nullptr;
   static inline SimulatedSample* sample_ = nullptr;
   static inline GenomeIndex* index_ = nullptr;
-  static inline std::map<std::pair<Shape, bool>, Baseline>* baselines_ =
-      nullptr;
+  static inline std::map<Shape, Baseline>* baselines_ = nullptr;
 };
 
 TEST_P(CorrectnessMatrixTest, MatchesBarrieredBaseline) {
   const Cell& cell = GetParam();
-  const Baseline& baseline = BaselineFor(cell.shape, /*combiners=*/true);
+  const Baseline& baseline = BaselineFor(cell.shape);
   const bool resumed = cell.resume != Resume::kCold;
 
   // The injector and the executor outlive the Dfs, which keeps raw
@@ -520,9 +515,7 @@ TEST_P(CorrectnessMatrixTest, MatchesBarrieredBaseline) {
     EXPECT_TRUE(dfs.Exists("/gesall/variants/calls.bin"));
   } else if (cell.faults == Faults::kNone) {
     const bool fused = Streaming(cell.schedule);
-    EXPECT_EQ(ViewCounters(stats, fused),
-              ViewCounters(BaselineFor(cell.shape, cell.combiners).stats,
-                           fused));
+    EXPECT_EQ(ViewCounters(stats, fused), ViewCounters(baseline.stats, fused));
   }
   ExpectAxesFired(cell, stats, dfs);
   if (!root.empty()) fs::remove_all(root);
@@ -538,16 +531,15 @@ INSTANTIATE_TEST_SUITE_P(Cells, CorrectnessMatrixTest,
 // the cells cover every pair of axis values and every (schedule, sealed
 // round) resume point.
 TEST(CorrectnessMatrixCells, CoverEveryPairAndResumePoint) {
-  const std::array<int, 6> sizes = {5, 2, 2, 3, 3, 3};
+  const std::array<int, 5> sizes = {5, 2, 3, 3, 3};
   std::set<std::array<int, 4>> pairs;
   std::set<std::pair<Schedule, int>> resume_points;
   for (const Cell& c : Cells()) {
-    const std::array<int, 6> v = {
-        static_cast<int>(c.schedule), c.codec, c.combiners,
-        static_cast<int>(c.faults), static_cast<int>(c.resume),
-        static_cast<int>(c.shape)};
-    for (int i = 0; i < 6; ++i) {
-      for (int j = i + 1; j < 6; ++j) pairs.insert({i, v[i], j, v[j]});
+    const std::array<int, 5> v = {
+        static_cast<int>(c.schedule), c.codec, static_cast<int>(c.faults),
+        static_cast<int>(c.resume), static_cast<int>(c.shape)};
+    for (int i = 0; i < 5; ++i) {
+      for (int j = i + 1; j < 5; ++j) pairs.insert({i, v[i], j, v[j]});
     }
     if (c.resume == Resume::kCold) continue;
     resume_points.insert({c.schedule, c.round});
@@ -557,8 +549,8 @@ TEST(CorrectnessMatrixCells, CoverEveryPairAndResumePoint) {
     })) << CellName(c);
   }
   size_t all_pairs = 0;
-  for (int i = 0; i < 6; ++i) {
-    for (int j = i + 1; j < 6; ++j) all_pairs += sizes[i] * sizes[j];
+  for (int i = 0; i < 5; ++i) {
+    for (int j = i + 1; j < 5; ++j) all_pairs += sizes[i] * sizes[j];
   }
   EXPECT_EQ(pairs.size(), all_pairs);
   for (int s = 0; s < sizes[0]; ++s) {

@@ -56,8 +56,7 @@ Result<JobResult> RunWordCount(const JobConfig& cfg,
 // --- ShuffleBuffer checksum unit coverage ---
 
 TEST(ShuffleChecksumTest, FrozenRunsVerifyAndCorruptionIsDetected) {
-  ShuffleBuffer buffer(2, /*sort_buffer_bytes=*/64, nullptr,
-                       /*checksum=*/true);
+  ShuffleBuffer buffer(2, /*sort_buffer_bytes=*/64, /*checksum=*/true);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(
         buffer.Add(i % 2, "key" + std::to_string(i % 7), "value").ok());
@@ -85,7 +84,7 @@ TEST(ShuffleChecksumTest, FrozenRunsVerifyAndCorruptionIsDetected) {
 }
 
 TEST(ShuffleChecksumTest, DisabledChecksumSkipsSumsAndVerification) {
-  ShuffleBuffer buffer(1, 1 << 20, nullptr, /*checksum=*/false);
+  ShuffleBuffer buffer(1, 1 << 20, /*checksum=*/false);
   ASSERT_TRUE(buffer.Add(0, "k", "v").ok());
   ASSERT_TRUE(buffer.Finish().ok());
   EXPECT_FALSE(buffer.checksummed());

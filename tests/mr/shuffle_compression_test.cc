@@ -14,6 +14,7 @@
 
 #include "mr/mapreduce.h"
 #include "mr/shuffle_buffer.h"
+#include "util/io.h"
 #include "util/rng.h"
 
 namespace gesall {
@@ -66,8 +67,7 @@ std::string DrainUncompressed(const ShuffleBuffer& buffer, int p) {
 TEST(ShuffleCompressionTest, CompressedSpillRoundTrip) {
   Rng rng(1);
   ShuffleBuffer buffer(/*num_partitions=*/1, /*sort_buffer_bytes=*/1 << 20,
-                       /*combiner=*/nullptr, /*checksum=*/true,
-                       /*compress=*/true);
+                       /*checksum=*/true, /*compress=*/true);
   std::map<std::string, std::string> expected;
   for (int i = 0; i < 500; ++i) {
     std::string key = "read-" + std::to_string(rng.Uniform(10000));
@@ -99,11 +99,9 @@ TEST(ShuffleCompressionTest, DifferentialMergeByteIdentical) {
   for (int64_t sort_buffer : {int64_t{1} << 20, int64_t{512}}) {
     Rng rng(42);
     ShuffleBuffer plain(/*num_partitions=*/3, sort_buffer,
-                        /*combiner=*/nullptr, /*checksum=*/true,
-                        /*compress=*/false);
+                        /*checksum=*/true, /*compress=*/false);
     ShuffleBuffer packed(/*num_partitions=*/3, sort_buffer,
-                         /*combiner=*/nullptr, /*checksum=*/true,
-                         /*compress=*/true);
+                         /*checksum=*/true, /*compress=*/true);
     for (int i = 0; i < 2000; ++i) {
       std::string key = "k" + std::to_string(rng.Uniform(200));
       std::string value = BaseValue(rng, 1 + rng.Uniform(60));
@@ -127,47 +125,12 @@ TEST(ShuffleCompressionTest, DifferentialMergeByteIdentical) {
   }
 }
 
-// Sums decimal values per key group (associative, output-preserving).
-class SumCombiner : public Combiner {
- public:
-  Status Combine(std::string_view key,
-                 const std::vector<std::string_view>& values,
-                 CombineEmitter* out) override {
-    (void)key;
-    int64_t sum = 0;
-    for (const auto& v : values) sum += std::stoll(std::string(v));
-    out->Emit(std::to_string(sum));
-    return Status::OK();
-  }
-};
-
-TEST(ShuffleCompressionTest, DifferentialWithCombiner) {
-  Rng rng(7);
-  SumCombiner c1, c2;
-  ShuffleBuffer plain(/*num_partitions=*/1, /*sort_buffer_bytes=*/256, &c1,
-                      /*checksum=*/true, /*compress=*/false);
-  ShuffleBuffer packed(/*num_partitions=*/1, /*sort_buffer_bytes=*/256, &c2,
-                       /*checksum=*/true, /*compress=*/true);
-  for (int i = 0; i < 1000; ++i) {
-    std::string key = "w" + std::to_string(rng.Uniform(50));
-    std::string value = std::to_string(1 + rng.Uniform(9));
-    ASSERT_TRUE(plain.Add(0, key, value).ok());
-    ASSERT_TRUE(packed.Add(0, key, value).ok());
-  }
-  ASSERT_TRUE(plain.Finish().ok());
-  ASSERT_TRUE(packed.Finish().ok());
-  EXPECT_EQ(DrainCompressed(packed, 0), DrainUncompressed(plain, 0));
-  EXPECT_EQ(packed.stats().combine_input_records,
-            plain.stats().combine_input_records);
-}
-
 TEST(ShuffleCompressionTest, ValueLargerThanBlockStraddles) {
   // A single value spanning multiple 64 KiB BGZF blocks exercises the
   // cursor's carry-stitch path.
   Rng rng(9);
   ShuffleBuffer buffer(/*num_partitions=*/1, /*sort_buffer_bytes=*/1 << 22,
-                       /*combiner=*/nullptr, /*checksum=*/true,
-                       /*compress=*/true);
+                       /*checksum=*/true, /*compress=*/true);
   std::string big = BaseValue(rng, 3 * kBgzfBlockSize + 4321);
   ASSERT_TRUE(buffer.Add(0, "big", big).ok());
   ASSERT_TRUE(buffer.Add(0, "a", "small").ok());
@@ -178,8 +141,7 @@ TEST(ShuffleCompressionTest, ValueLargerThanBlockStraddles) {
 TEST(ShuffleCompressionTest, VerifyPartitionDetectsFlippedByte) {
   Rng rng(3);
   ShuffleBuffer buffer(/*num_partitions=*/1, /*sort_buffer_bytes=*/1 << 20,
-                       /*combiner=*/nullptr, /*checksum=*/true,
-                       /*compress=*/true);
+                       /*checksum=*/true, /*compress=*/true);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(
         buffer.Add(0, "k" + std::to_string(i), BaseValue(rng, 64)).ok());
@@ -196,8 +158,7 @@ TEST(ShuffleCompressionTest, VerifyPartitionDetectsFlippedByte) {
 TEST(ShuffleCompressionTest, ReaderSurfacesTruncationAsStatus) {
   Rng rng(4);
   ShuffleBuffer buffer(/*num_partitions=*/1, /*sort_buffer_bytes=*/1 << 20,
-                       /*combiner=*/nullptr, /*checksum=*/true,
-                       /*compress=*/true);
+                       /*checksum=*/true, /*compress=*/true);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
         buffer.Add(0, "key-" + std::to_string(i), BaseValue(rng, 50)).ok());
@@ -209,6 +170,28 @@ TEST(ShuffleCompressionTest, ReaderSurfacesTruncationAsStatus) {
   while (reader.Advance() != nullptr) {
   }
   EXPECT_TRUE(reader.status().IsCorruption()) << reader.status().ToString();
+}
+
+// A CRC-valid run whose one record header claims a key of almost 4 GiB
+// over a few real bytes: the reader reports the run truncated where the
+// bytes ran out, having allocated no more than the run holds.
+TEST(ShuffleCompressionTest, LyingRecordLengthFailsAsCorruption) {
+  std::string header;
+  BufferWriter framing(&header);
+  framing.PutU32(0xFFFFFFF0u);  // klen
+  framing.PutU32(4);            // vlen
+  std::string run;
+  BgzfWriter w(&run);
+  ASSERT_TRUE(w.Append(header).ok());
+  ASSERT_TRUE(w.Append("a few real bytes").ok());
+  ASSERT_TRUE(w.Flush().ok());
+  CompressedShuffleRunReader reader(run);
+  EXPECT_EQ(reader.Advance(), nullptr);
+  EXPECT_TRUE(reader.status().IsCorruption()) << reader.status().ToString();
+  EXPECT_NE(reader.status().message().find(
+                "at stream offset " + std::to_string(run.size())),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 // ----- engine-level differential -----

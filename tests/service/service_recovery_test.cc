@@ -67,9 +67,10 @@ class ServiceRecoveryTest : public testing::Test {
 
   // Hand-encodes a job-log submit record (opcode 1) of MakeJob("alpha")
   // with the given id, field by field as the on-disk format lays it out.
-  // `older_layout` adds the fields an older layout carried (a Round-1
-  // pipe flag after the read group; the bloom filter's expected items
-  // and false-positive rate after run_recalibration), at their then
+  // `older_layout` adds the fields an older layout carried (a map-side
+  // pre-reduce flag after max_parallel_tasks; a Round-1 pipe flag after
+  // the read group; the bloom filter's expected items and
+  // false-positive rate after run_recalibration), at their then
   // defaults.
   static std::string SubmitRecord(JobId id, bool older_layout) {
     const JobSpec spec = MakeJob("alpha");
@@ -95,7 +96,7 @@ class ServiceRecoveryTest : public testing::Test {
     w.PutI64(p.markdup_reducers);
     w.PutU8(p.markdup_use_bloom ? 1 : 0);
     w.PutI64(p.max_parallel_tasks);
-    w.PutU8(p.use_combiners ? 1 : 0);
+    if (older_layout) w.PutU8(1);
     w.PutString(p.read_group.id);
     w.PutString(p.read_group.sample);
     w.PutString(p.read_group.library);
@@ -517,6 +518,29 @@ TEST_F(ServiceRecoveryTest, SubmitRecordWithTrailingByteFailsRecovery) {
   EXPECT_EQ(service.recovery_stats().jobs_recovered, 0);
   EXPECT_EQ(service.queue_depth(), 0);
   EXPECT_EQ(service.running_jobs(), 0);
+}
+
+// A submit record whose first mate claims 0xFFFFFFF0 reads over the
+// bytes that follow fails recovery as Corruption.
+TEST_F(ServiceRecoveryTest, SubmitRecordWithLyingReadCountFailsRecovery) {
+  std::string record = SubmitRecord(/*id=*/7, /*older_layout=*/false);
+  // Opcode, id, tenant, priority, deadline and timeout precede the count.
+  const JobSpec spec = MakeJob("alpha");
+  const size_t count_at = 1 + 8 + 4 + spec.tenant.size() + 8 + 8 + 8;
+  uint32_t reads = 0;
+  BufferReader r(std::string_view(record).substr(count_at));
+  ASSERT_TRUE(r.GetU32(&reads).ok());
+  ASSERT_EQ(reads, spec.mate1.size());
+  std::string lie;
+  BufferWriter(&lie).PutU32(0xFFFFFFF0u);
+  record.replace(count_at, lie.size(), lie);
+  JournalRecord(record);
+  Dfs dfs(DfsOptions{});
+  GesallService service(*ref_, *index_, &dfs, DurableServiceConfig());
+  EXPECT_TRUE(service.recovery_status().IsCorruption())
+      << service.recovery_status().ToString();
+  EXPECT_EQ(service.recovery_stats().jobs_recovered, 0);
+  EXPECT_EQ(service.queue_depth(), 0);
 }
 
 // An enum byte past its enum's last member fails recovery too.

@@ -5,10 +5,11 @@
 // synthetic genomics workload.
 //
 // The measured path is the full shuffle: map-side emit + sort-and-spill
-// + map-side merge across several simulated map tasks, then the
-// reduce-side k-way merge and key grouping, ending in a streaming
-// consume (FNV digest) that stands in for the reducer. Both engines
-// must produce the same digest and group count.
+// across several simulated map tasks (the legacy engine also merges each
+// task's spill runs map-side; the arena engines leave them to the
+// reduce), then the reduce-side k-way merge and key grouping, ending in
+// a streaming consume (FNV digest) that stands in for the reducer. Both
+// engines must produce the same digest and group count.
 //
 // A fourth section measures the compression-aware data path: BGZF
 // spill compression (mr/shuffle_buffer.h compress mode) plus BGZF DFS
@@ -527,9 +528,9 @@ RunResult RunArena(const Workload& w, const Partitioner& partitioner,
   return result;
 }
 
-// The compressed shuffle: identical map/merge/reduce structure, but
-// every sealed spill run goes through the BGZF codec and the reduce
-// merge inflates lazily, one 64 KiB block per cursor.
+// The compressed shuffle: identical map/reduce structure, but every
+// sealed spill run goes through the BGZF codec and the reduce merge
+// inflates lazily, one 64 KiB block per cursor.
 RunResult RunCompressed(const Workload& w, const Partitioner& partitioner,
                         Executor* executor) {
   RunResult result;
@@ -577,7 +578,6 @@ RunResult RunCompressed(const Workload& w, const Partitioner& partitioner,
     result.spills += t.stats().spills;
     result.checksummed_bytes += t.stats().checksummed_bytes;
     result.compress_micros += t.stats().compress_micros;
-    result.decompress_micros += t.stats().decompress_micros;
     for (int p = 0; p < kNumPartitions; ++p) {
       for (const auto& crun : t.compressed_runs(p)) {
         result.disk_bytes += static_cast<int64_t>(crun.bytes.size());

@@ -16,7 +16,7 @@
 # build-tsan/ so they never pollute the regular build directory, and
 # only build the suites that exercise the risky machinery.
 #   - ASan (mr_test, util_test, align_test, dfs_test, service_test,
-#     formats_test):
+#     formats_test, and gesall_test's LinearIndex* suites):
 #     arena lifetime bugs — views outliving a spill or the arena they
 #     point into — are exactly what ASan catches and what the plain
 #     build can silently survive; the banded SIMD aligner's
@@ -34,8 +34,10 @@
 #     where an overread is silent without ASan. The split-block decoder
 #     (util_test's hostile split payloads) and the BAM record parser
 #     with its block builder (formats_test: bam_test, bam_fuzz_test)
-#     copy spans at offsets read from disk. The suites run with single
-#     allocations capped at 256 MiB (max_allocation_size_mb): the
+#     copy spans at offsets read from disk, and the round-4 .bai sidecar
+#     decoder (gesall_test's LinearIndex* filter) sizes its window
+#     vector from a count read back from the DFS. The suites run with
+#     single allocations capped at 256 MiB (max_allocation_size_mb): the
 #     largest a passing suite makes is 11.75 MiB (align_test), while a
 #     decoder that sizes a buffer from a lying length or count asks for
 #     GiBs, so it aborts with allocation-size-too-big instead of
@@ -99,12 +101,14 @@ if [[ "$run_asan" == 1 ]]; then
   echo "=== asan: shuffle engine + aligner + durability + decoder suites ==="
   cmake -B build-asan -S . -DGESALL_SANITIZE=address
   cmake --build build-asan -j --target mr_test util_test align_test \
-    dfs_test service_test formats_test
+    dfs_test service_test formats_test gesall_test
   asan_options="max_allocation_size_mb=256${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
   for suite in mr_test util_test align_test dfs_test service_test \
     formats_test; do
     ASAN_OPTIONS="$asan_options" "./build-asan/tests/$suite"
   done
+  ASAN_OPTIONS="$asan_options" ./build-asan/tests/gesall_test \
+    --gtest_filter='LinearIndex*'
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then

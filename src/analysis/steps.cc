@@ -4,11 +4,6 @@
 
 namespace gesall {
 
-Result<std::string> SamToBam(const SamHeader& header,
-                             const std::vector<SamRecord>& records) {
-  return WriteBam(header, records);
-}
-
 Status AddReplaceReadGroups(const ReadGroup& read_group, SamHeader* header,
                             std::vector<SamRecord>* records) {
   if (read_group.id.empty()) {

@@ -1,7 +1,8 @@
-// PicardTools-style record-processing steps (paper Table 2, steps 2-5):
-// SamToBam conversion, AddReplaceReadGroups, CleanSam, FixMateInformation,
-// and SortSam. Each operates on an in-memory (header, records) dataset,
-// exactly the unit Gesall's wrapper layer feeds to "external programs".
+// PicardTools-style record-processing steps (paper Table 2, steps 3-5):
+// AddReplaceReadGroups, CleanSam, FixMateInformation, and SortSam. Each
+// operates on an in-memory (header, records) dataset, exactly the unit
+// Gesall's wrapper layer feeds to "external programs". Step 2, SamToBam,
+// is each stage's BAM build (BuildBamPartition, formats/bam.h).
 
 #ifndef GESALL_ANALYSIS_STEPS_H_
 #define GESALL_ANALYSIS_STEPS_H_
@@ -14,10 +15,6 @@
 #include "util/status.h"
 
 namespace gesall {
-
-/// \brief Serializes a SAM dataset to BAM bytes (pipeline step 2).
-Result<std::string> SamToBam(const SamHeader& header,
-                             const std::vector<SamRecord>& records);
 
 /// \brief Sets the read group of every record and registers it in the
 /// header (pipeline step 3).

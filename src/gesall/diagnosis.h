@@ -205,8 +205,9 @@ struct RoundSpan {
   double start_seconds = 0;
   double end_seconds = 0;
   // Summed wall time of the round's partition-output callbacks (BAM
-  // build and DFS write after each reduce task's record closed): the
-  // part of the span with no task running that the round itself explains.
+  // build and DFS write after each reduce or map-only task's record
+  // closed): the part of the span with no task running that the round
+  // itself explains.
   double partition_output_seconds = 0;
 };
 

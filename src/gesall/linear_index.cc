@@ -69,8 +69,17 @@ std::string LinearBamIndex::Serialize() const {
 Result<LinearBamIndex> LinearBamIndex::Deserialize(const std::string& data) {
   LinearBamIndex index;
   BufferReader r(data);
-  uint64_t n;
-  GESALL_RETURN_NOT_OK(r.GetU64(&n));
+  // A sidecar is its window count, the windows and three 8-byte fields.
+  // The count is read back from disk, so it must account for every byte
+  // before it sizes the window vector; a truncated sidecar fails here too.
+  uint64_t n = 0;
+  if (!r.GetU64(&n).ok() || n > r.remaining() / 8 ||
+      r.remaining() != 8 * (n + 3)) {
+    return Status::Corruption("linear index sidecar of " +
+                              std::to_string(data.size()) +
+                              " bytes does not hold its " +
+                              std::to_string(n) + " windows");
+  }
   index.window_offsets_.resize(n);
   for (auto& off : index.window_offsets_) {
     GESALL_RETURN_NOT_OK(r.GetU64(&off));

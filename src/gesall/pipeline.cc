@@ -52,7 +52,8 @@ std::vector<std::string> ListBams(const Dfs& dfs, const std::string& dir) {
 }
 
 // ---------------------------------------------------------------------
-// Round 1: map-only alignment (Bwa wrapper + SamToBam, both in-process).
+// Round 1: map-only alignment (the Bwa wrapper, in-process; the stage's
+// partition output builds each task's BAM).
 
 // Surfaces the extension-kernel counters (which kernel ran, how much of
 // the DP the band skipped) in the round's counter table.
@@ -90,7 +91,7 @@ class AlignmentMapper : public Mapper {
       CounterTimer timer(ctx, kTransformMicros);
       GESALL_ASSIGN_OR_RETURN(reads, ParseFastq(input));
     }
-    // Wrapped external program #1: bwa mem.
+    // Wrapped external program: bwa mem.
     PairedAlignScratch scratch;
     std::vector<SamRecord> records = RunWrappedProgram(ctx, [&] {
       std::vector<SamRecord> recs;
@@ -98,11 +99,9 @@ class AlignmentMapper : public Mapper {
       return recs;
     });
     EmitKernelCounters(ctx, scratch.read.stats);
-    // Wrapped external program #2: SamToBam.
-    GESALL_ASSIGN_OR_RETURN(std::string bam, RunWrappedProgram(ctx, [&] {
-                              return SamToBam(aligner.MakeHeader(), records);
-                            }));
-    ctx->Emit("", std::move(bam));
+    // Encoded records, as every reducer emits them.
+    CounterTimer timer(ctx, kTransformMicros);
+    for (const auto& r : records) ctx->Emit("", EncodeBamRecord(r));
     return Status::OK();
   }
 
@@ -435,10 +434,8 @@ class RecalApplyMapper : public Mapper {
       PrintReads(*table_, &dataset.second);
       return 0;
     });
-    GESALL_ASSIGN_OR_RETURN(
-        std::string bam,
-        DatasetToBam(dataset.first, dataset.second, ctx));
-    ctx->Emit("", std::move(bam));
+    CounterTimer timer(ctx, kTransformMicros);
+    for (const auto& r : dataset.second) ctx->Emit("", EncodeBamRecord(r));
     return Status::OK();
   }
 
@@ -608,13 +605,15 @@ class ParkedError {
   Status first_;  // guarded by mu_
 };
 
-// The one partition-output path of every reduce stage, installed as
-// JobConfig::on_partition_output. Partition r's reduce worker builds its
-// BAM (blocks deflated in parallel on `executor`), writes it to
-// `out_dir`, adds the linear index sidecar when `with_index` (round 4:
-// "sorting and building the BAM file index in the reducer", §4.1), then
-// fires `ready[r]`. It fires on failure too, so a gated downstream split
-// is never stranded; the failure parks in `errors`.
+// The one partition-output path of every stage that writes parts,
+// installed as JobConfig::on_partition_output. The worker of partition r
+// (reduce r, or map task r of a map-only stage) builds its BAM (blocks
+// deflated in parallel on `executor`), writes it to `out_dir`, adds the
+// linear index sidecar when `with_index` (round 4: "sorting and building
+// the BAM file index in the reducer", §4.1), then fires `ready[r]`, the
+// signal edge of a reduce stage (a map-only stage has none). It fires on
+// failure too, so a gated downstream split is never stranded; the
+// failure parks in `errors`.
 std::function<void(int, const std::vector<std::string>&, const JobCounters&)>
 PartitionOutput(Dfs* dfs, Executor* executor, SamHeader header,
                 std::string out_dir, bool with_index,
@@ -633,7 +632,7 @@ PartitionOutput(Dfs* dfs, Executor* executor, SamHeader header,
       return dfs->Write(path + ".bai", index.Serialize(), &policy);
     }();
     errors->Record(s);
-    ready[static_cast<size_t>(r)]->Notify();
+    if (!ready.empty()) ready[static_cast<size_t>(r)]->Notify();
   };
 }
 
@@ -846,9 +845,9 @@ struct GesallPipeline::Stage {
   ReducerFactory reducer;  // null: map-only
   int reducers = 0;
   std::shared_ptr<const Partitioner> partitioner;
-  // Partition i lands as <output_dir>part-<i>.bam (+ .bai with_index):
-  // built and written on its reduce worker, or, map-only, map task i's
-  // one value written by RunRounds. Empty: the stage writes no parts.
+  // Partition i lands as <output_dir>part-<i>.bam (+ .bai with_index),
+  // built from its values and written on the worker of reduce i, or of
+  // map task i in a map-only stage. Empty: the stage writes no parts.
   std::string output_dir;
   SamHeader output_header;
   bool with_index = false;
@@ -917,6 +916,7 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
       return std::make_unique<AlignmentMapper>(index, opt);
     };
     align.output_dir = aligned_dir_;
+    align.output_header = PairedEndAligner(*index, opt).MakeHeader();
     stages.push_back(std::move(align));
 
     // Map input: DFS block splits of every aligned partition (the custom
@@ -1029,6 +1029,7 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
     return std::make_unique<RecalApplyMapper>(&products->recal);
   };
   print_reads.output_dir = recal_dir_;
+  print_reads.output_header = header_;
   stages.push_back(std::move(recal_table));
   stages.push_back(std::move(print_reads));
 
@@ -1184,11 +1185,11 @@ std::vector<GesallPipeline::Stage> GesallPipeline::BuildStages(
 //   signal:  the stage starts at once, split r gated on the upstream
 //            round's ReadySignal r (overlapped runs, where the stage
 //            names a gate_round that this walk launched).
-// Stages land in table order: await the job, write map-only parts, run
-// the finish, record stats, and after a round's last stage seal the
-// round and tick the heartbeat. On resume a sealed round's stages are
-// pre-completed instead of started: their signals fire at once and they
-// land as skipped.
+// Stages land in table order: await the job, run the finish, record
+// stats, and after a round's last stage seal the round and tick the
+// heartbeat. Every part was written on its task's worker before the job
+// landed. On resume a sealed round's stages are pre-completed instead of
+// started: their signals fire at once and they land as skipped.
 Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(
     const std::vector<int>& rounds, bool overlap,
     std::vector<RoundSpan>* spans) {
@@ -1224,15 +1225,6 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(
     if (ran) {
       GESALL_ASSIGN_OR_RETURN(result, l.job->Wait());
       GESALL_RETURN_NOT_OK(l.errors->first());
-      if (stage.reducer == nullptr && !stage.output_dir.empty()) {
-        LogicalPartitionPlacementPolicy policy;
-        for (size_t i = 0; i < result.reducer_outputs.size(); ++i) {
-          if (result.reducer_outputs[i].empty()) continue;
-          GESALL_RETURN_NOT_OK(dfs_->Write(
-              PartPath(stage.output_dir, static_cast<int>(i)) + ".bam",
-              result.reducer_outputs[i][0], &policy));
-        }
-      }
     } else {
       result.counters.Add("round_skipped_on_resume", 1);
     }
@@ -1299,11 +1291,11 @@ Result<std::vector<VariantRecord>> GesallPipeline::RunRounds(
       JobConfig cfg = MakeJobConfig(stage.reducers);
       cfg.throttle = throttle;
       l.errors = std::make_shared<ParkedError>();
-      if (out != nullptr) {
+      if (!stage.output_dir.empty()) {
         cfg.on_partition_output =
             PartitionOutput(dfs_, executor, stage.output_header,
                             stage.output_dir, stage.with_index, l.errors,
-                            *out);
+                            out != nullptr ? *out : Signals{});
       }
       MapReduceJob job(cfg);
       l.start = wall.ElapsedSeconds();

@@ -2,7 +2,8 @@
 // paper's evaluation (§4.1, Appendix A.2), executed on the functional
 // MapReduce engine over the DFS substrate.
 //
-//   Round 1  map-only   Bwa alignment + SamToBam
+//   Round 1  map-only   Bwa alignment; each task's BAM is built and
+//                        written as its partition output
 //   Round 2  map+reduce AddReplaceGroups + CleanSam | shuffle by read
 //                        name | FixMateInformation
 //   Round 3  map+reduce compound-key extraction (MarkDup_reg or

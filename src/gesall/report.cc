@@ -166,7 +166,7 @@ Result<DiagnosisReport> GenerateDiagnosisReport(
       if (round.partition_output_seconds > 0) {
         // Summed over partitions, which build and write concurrently.
         Append(&md, ", partition output %.3fs (BAM build + DFS write after "
-                    "each reduce task)",
+                    "each task)",
                round.partition_output_seconds);
       }
       md += "\n";

@@ -69,15 +69,6 @@ Result<std::pair<SamHeader, std::vector<SamRecord>>> BamToDataset(
   return ReadBam(bam);
 }
 
-/// \brief Encodes a dataset as BAM bytes.
-template <typename Ctx>
-Result<std::string> DatasetToBam(const SamHeader& header,
-                                 const std::vector<SamRecord>& records,
-                                 Ctx* ctx) {
-  CounterTimer timer(ctx, kTransformMicros);
-  return WriteBam(header, records);
-}
-
 /// \brief Runs a wrapped analysis program, charging its runtime to the
 /// program counter (the "time in external programs" of Fig. 6a).
 template <typename Ctx, typename Fn>

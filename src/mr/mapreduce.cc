@@ -61,8 +61,8 @@ Status ValidateJobConfig(const JobConfig& c, bool needs_reducers) {
 }
 
 // Per-map-task output plus bookkeeping. A full job's emits land in the
-// frozen arena shuffle (at most one sorted run per partition after
-// Finish); a map-only job's land in `values`, in emission order.
+// frozen arena shuffle (one sorted run per partition per spill); a
+// map-only job's land in `values`, in emission order.
 struct MapTaskOutput {
   std::unique_ptr<ShuffleBuffer> shuffle;
   std::vector<std::string> values;
@@ -150,8 +150,8 @@ class MapContextImpl : public MapContext {
     bytes_ = 0;
   }
 
-  // Final spill + map-side merge (the Fig. 5(b) overhead), then counter
-  // flush. Propagates deferred spill failures.
+  // Final spill and checksum seal, then counter flush. Propagates
+  // deferred spill failures.
   Status FinishTask() {
     if (partitioner_ == nullptr) {
       FlushCounters();
@@ -162,9 +162,6 @@ class MapContextImpl : public MapContext {
     FlushCounters();
     const ShuffleStats& s = out_->shuffle->stats();
     if (s.spills > 0) out_->counters.Add("map_spills", s.spills);
-    if (s.merge_bytes > 0) {
-      out_->counters.Add("map_merge_bytes", s.merge_bytes);
-    }
     if (s.checksummed_bytes > 0) {
       out_->counters.Add("shuffle_checksummed_bytes", s.checksummed_bytes);
     }
@@ -173,9 +170,6 @@ class MapContextImpl : public MapContext {
       out_->counters.Add("shuffle_spill_bytes_compressed",
                          s.spill_bytes_compressed);
       out_->counters.Add("shuffle_compress_micros", s.compress_micros);
-      if (s.decompress_micros > 0) {
-        out_->counters.Add("shuffle_decompress_micros", s.decompress_micros);
-      }
     }
     return Status::OK();
   }
@@ -246,6 +240,21 @@ Result<std::string> LoadSplitAttempt(const InputSplit& split, int index,
   return input;
 }
 
+// Hands one task's output to JobConfig::on_partition_output, on the
+// worker that made it: partition `index` is reduce r, or map task i of a
+// map-only job. The task's record has closed, so the callback's wall
+// time gets a counter of its own. The values move into the hand-over,
+// so the job result does not carry them again.
+void HandOver(const JobConfig& cfg, int index,
+              std::vector<std::string>* values, JobCounters* counters) {
+  if (!cfg.on_partition_output) return;
+  const std::vector<std::string> handed = std::move(*values);
+  Stopwatch clock;
+  cfg.on_partition_output(index, handed, *counters);
+  counters->Add(kPartitionOutputMicros,
+                static_cast<int64_t>(clock.ElapsedSeconds() * 1e6));
+}
+
 }  // namespace
 
 // Shared state of one asynchronously running job. Tasks hold it via
@@ -296,9 +305,9 @@ void FinishJob(const std::shared_ptr<JobState>& s, Status st) {
   s->cv.notify_all();
 }
 
-// Map task i: all attempts, into its output slot. Reused verbatim by the
-// master's lost-output re-execution, so a re-executed task goes through
-// the same retry machinery.
+// Map task i: all attempts, into its output slot, then a map-only task's
+// hand-over. Reused verbatim by the master's lost-output re-execution, so
+// a re-executed task goes through the same retry machinery.
 void ExecuteMap(JobState* s, size_t i) {
   const JobConfig& cfg = s->config;
   auto run_attempt = [&](int attempt, MapTaskOutput* out) {
@@ -333,6 +342,9 @@ void ExecuteMap(JobState* s, size_t i) {
   const int retries = RunTaskAttempts(cfg, run_attempt, &slot);
   if (retries > 0) slot.counters.Add("map_task_retries", retries);
   slot.record.node = s->node_of[i];
+  if (s->map_only && slot.status.ok()) {
+    HandOver(cfg, static_cast<int>(i), &slot.values, &slot.counters);
+  }
 }
 
 void FinalizeMapOnlyJob(const std::shared_ptr<JobState>& s) {
@@ -526,9 +538,9 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
         return;
       }
     }
-    // Gather this partition's frozen run from every map task (each task
-    // has at most one run per partition after the map-side merge) and
-    // merge the entry indexes, stable by map task index. Uncompressed
+    // Gather this partition's frozen runs from every map task, one per
+    // spill, and merge the entry indexes, stable by (map task, spill)
+    // order, which is emission order within a task. Uncompressed
     // runs cost no key/value copies: entries are views into the map
     // tasks' arenas. Compressed runs merge through lazy cursors that
     // inflate one 64 KiB block at a time.
@@ -643,15 +655,9 @@ void RunReduceTask(const std::shared_ptr<JobState>& s, int r) {
   ReduceTaskOutput& slot = s->reduce_outputs[static_cast<size_t>(r)];
   const int retries = RunTaskAttempts(cfg, run_attempt, &slot);
   if (retries > 0) slot.counters.Add("reduce_task_retries", retries);
-  if (slot.status.ok() && cfg.on_partition_output) {
-    // Per-partition readiness edge: downstream rounds may start on this
-    // partition now, while sibling reduces are still running. The task
-    // record has closed, so the callback's time gets a counter of its own.
-    Stopwatch clock;
-    cfg.on_partition_output(r, slot.values, slot.counters);
-    slot.counters.Add(kPartitionOutputMicros,
-                      static_cast<int64_t>(clock.ElapsedSeconds() * 1e6));
-  }
+  // Per-partition readiness edge: downstream rounds may start on this
+  // partition now, while sibling reduces are still running.
+  if (slot.status.ok()) HandOver(cfg, r, &slot.values, &slot.counters);
 }
 
 void FinalizeFullJob(const std::shared_ptr<JobState>& s) {

@@ -14,7 +14,10 @@
 //
 // Every map task, of a full or a map-only job, runs one path: load the
 // split, run the mapper over it, and route each emit. A full job's emits
-// enter the shuffle; a map-only job's tasks keep their values.
+// enter the shuffle; a map-only job's tasks keep their values. Either
+// way a task's output reaches its consumer once: a reduce's values, or a
+// map-only task's, go to JobConfig::on_partition_output from the worker
+// that made them when one is set, and into JobResult otherwise.
 //
 // Fault tolerance mirrors Hadoop's task-attempt model: a failed task
 // attempt (split load error, mapper/reducer error, or injected fault) is
@@ -167,7 +170,8 @@ struct InputSplit {
 InputSplit InlineSplit(std::string data);
 
 /// Counter charged with the wall time of JobConfig::on_partition_output,
-/// per reduce: work that runs after the reduce's TaskRecord closed.
+/// per reduce or map-only task: work that runs after the task's
+/// TaskRecord closed.
 inline constexpr char kPartitionOutputMicros[] = "partition_output_micros";
 
 /// Times one map task's output may be lost (dead node, corrupt run, or
@@ -195,14 +199,16 @@ struct JobConfig {
   /// instead of multiplying slots per job. Null = private throttle of
   /// max_parallel_tasks slots.
   std::shared_ptr<Throttle> throttle;
-  /// Fires once per reduce partition, from the worker thread, as soon as
-  /// that partition's reduce task succeeds — before the job-level merge,
-  /// while other partitions may still be running. This is what lets a
-  /// downstream round start per-partition work ahead of the job barrier.
-  /// Full (map+reduce) jobs only; arguments are the partition index, its
-  /// output values, and that reduce task's counters. The callback runs
-  /// after the task's TaskRecord closed; its wall time is added to that
-  /// reduce's counters as kPartitionOutputMicros.
+  /// Fires once per reduce partition of a full job, or once per map task
+  /// of a map-only job, from the worker thread, as soon as that task
+  /// succeeds — while other tasks may still be running, and before
+  /// Handle::Wait() can return. This is what lets a downstream round
+  /// start per-partition work ahead of the job barrier. Arguments are the
+  /// partition index (the reduce, or the map task), its output values
+  /// and that task's counters. The callback runs after the task's
+  /// TaskRecord closed; its wall time is added to that task's counters as
+  /// kPartitionOutputMicros. Values handed to it are not returned again:
+  /// their JobResult::reducer_outputs entry is empty.
   std::function<void(int partition, const std::vector<std::string>& values,
                      const JobCounters& counters)>
       on_partition_output;
@@ -300,7 +306,8 @@ class MapReduceJob {
                         const Partitioner* partitioner = nullptr);
 
   /// Map-only round (paper Round 1): reducer_outputs[i] holds the values
-  /// emitted by map task i, in emission order (Start + Wait).
+  /// emitted by map task i, in emission order, unless
+  /// on_partition_output took them (Start + Wait).
   Result<JobResult> RunMapOnly(const std::vector<InputSplit>& splits,
                                const MapperFactory& mapper_factory);
 
@@ -308,7 +315,7 @@ class MapReduceJob {
   /// runs as executor tasks (maps gated on their splits' ready signals,
   /// throttled by the admission cap, verified and re-executed by a
   /// high-priority master task, reduces firing on_partition_output as
-  /// they land). Splits and factories are copied; a caller-provided
+  /// they land; a map-only job's maps fire it instead). Splits and factories are copied; a caller-provided
   /// partitioner must outlive the job.
   Handle Start(const std::vector<InputSplit>& splits,
                const MapperFactory& mapper_factory,

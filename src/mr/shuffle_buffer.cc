@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 
@@ -257,93 +255,18 @@ Status ShuffleBuffer::SpillPartition(Partition* part) {
   return Status::OK();
 }
 
-void ShuffleBuffer::MergePartition(Partition* part) {
-  auto& runs = part->runs;
-  size_t total = 0;
-  for (const auto& run : runs) {
-    total += run.size();
-    for (const auto& e : run) {
-      stats_.merge_bytes +=
-          static_cast<int64_t>(e.key.size() + e.value.size());
-    }
-  }
-  ShuffleRun merged;
-  merged.reserve(total);
-  // K-way merge over the entry index: no key/value bytes move, only
-  // 48-byte entries. Stable across run creation order.
-  std::vector<const ShuffleRun*> run_ptrs;
-  run_ptrs.reserve(runs.size());
-  for (const auto& run : runs) run_ptrs.push_back(&run);
-  ShuffleRunMerger merger(run_ptrs);
-  for (const ShuffleEntry* e = merger.Next(); e != nullptr;
-       e = merger.Next()) {
-    merged.push_back(*e);
-  }
-  runs.clear();
-  runs.push_back(std::move(merged));
-}
-
-Status ShuffleBuffer::MergeCompressedPartition(Partition* part) {
-  // Stream-merge through lazy cursors and re-serialize — the Fig. 5(b)
-  // merge rewrite, but over compressed frames: at no point is a whole
-  // run inflated.
-  std::vector<std::unique_ptr<CompressedShuffleRunReader>> readers;
-  std::vector<ShuffleRunReader*> reader_ptrs;
-  readers.reserve(part->cruns.size());
-  for (const CompressedShuffleRun& crun : part->cruns) {
-    readers.push_back(
-        std::make_unique<CompressedShuffleRunReader>(crun.bytes));
-    reader_ptrs.push_back(readers.back().get());
-  }
-  CompressedShuffleRun merged;
-  BgzfWriter w(&merged.bytes, compress_level_);
-  ShuffleRunMerger merger(reader_ptrs);
-  for (const ShuffleEntry* e = merger.Next(); e != nullptr;
-       e = merger.Next()) {
-    const auto payload = static_cast<int64_t>(e->key.size() + e->value.size());
-    stats_.merge_bytes += payload;
-    GESALL_RETURN_NOT_OK(AppendFramedRecord(&w, e->key, e->value));
-    merged.payload_bytes += payload;
-    ++merged.records;
-  }
-  for (const auto& reader : readers) {
-    GESALL_RETURN_NOT_OK(reader->status());
-    part->decompress_micros += reader->decompress_micros();
-  }
-  GESALL_RETURN_NOT_OK(w.Flush());
-  merged.raw_bytes = w.stats().raw_bytes;
-  part->codec.raw_bytes += w.stats().raw_bytes;
-  part->codec.stored_bytes += w.stats().stored_bytes;
-  part->codec.blocks += w.stats().blocks;
-  part->codec.stored_blocks += w.stats().stored_blocks;
-  part->codec.compress_micros += w.stats().compress_micros;
-  part->cruns.clear();
-  part->cruns.push_back(std::move(merged));
-  return Status::OK();
-}
-
 Status ShuffleBuffer::Finish() {
   GESALL_RETURN_NOT_OK(SpillAll());
   for (auto& part : parts_) {
-    if (compress_) {
-      if (part.cruns.size() > 1) {
-        GESALL_RETURN_NOT_OK(MergeCompressedPartition(&part));
-      }
-    } else if (part.runs.size() > 1) {
-      MergePartition(&part);
-    }
-    // Seal after the merge: the merge reorders only the entry index (or
-    // rewrites the compressed frame), so the sums cover the final spill
-    // byte stream the reduce side reads.
+    // No run is merged or rewritten, so the sums cover every spill run
+    // exactly as the reduce side reads it.
     if (checksum_) SealChecksums(&part);
     // Fold the partition-local codec accounting (kept local so parallel
     // spills never contend) into the task stats.
     stats_.spill_bytes_raw += part.codec.raw_bytes;
     stats_.spill_bytes_compressed += part.codec.stored_bytes;
     stats_.compress_micros += part.codec.compress_micros;
-    stats_.decompress_micros += part.decompress_micros;
     part.codec = BgzfCodecStats{};
-    part.decompress_micros = 0;
   }
   return Status::OK();
 }

@@ -1,22 +1,23 @@
 // Zero-copy shuffle data path of the MapReduce engine (paper §3.1, the
-// map-side spill/merge machinery measured in Fig. 5(b) and Fig. 6).
+// map-side sort-and-spill machinery of Fig. 5(b) and Fig. 6).
 //
 // Every emitted key/value is copied once into a per-partition byte arena
 // and indexed by a 48-byte ShuffleEntry (16-byte inlined key head + two
-// views). Sorting moves entries, not strings; the map-side merge and the
-// reduce-side k-way merge compare the big-endian key-head words first
-// and touch the full key bytes only on a 16-byte tie. Frozen runs stay valid
-// as views into the arenas for the lifetime of the ShuffleBuffer, so the
-// reduce side groups values with zero per-record copies.
+// views). Sorting moves entries, not strings. A map task keeps one sorted
+// run per partition per spill, and only the reduce-side k-way merge
+// combines them: it compares the big-endian key-head words first and
+// touches the full key bytes only on a 16-byte tie. Frozen runs stay
+// valid as views into the arenas for the lifetime of the ShuffleBuffer,
+// so the reduce side groups values with zero per-record copies.
 //
 // With compression on (JobConfig::compress_shuffle), each sorted spill
 // run is serialized as length-framed records into a BGZF-blocked stream
 // (see util/bgzf.h) the moment it seals, and the raw arena bytes are
 // released — the spill "file" on disk is the compressed stream. The
-// reduce-side (and map-side re-merge) cursors decompress lazily, one
-// 64 KiB block at a time into per-cursor scratch buffers, so the k-way
-// merge never inflates a whole run. Per-chunk CRC32C sums seal the
-// compressed frames, exactly as they seal raw arenas.
+// reduce-side cursors decompress lazily, one 64 KiB block at a time into
+// per-cursor scratch buffers, so the k-way merge never inflates a whole
+// run. Per-chunk CRC32C sums seal the compressed frames, exactly as they
+// seal raw arenas.
 
 #ifndef GESALL_MR_SHUFFLE_BUFFER_H_
 #define GESALL_MR_SHUFFLE_BUFFER_H_
@@ -273,37 +274,32 @@ class ShuffleRunMerger {
   bool advance_pending_ = false;
 };
 
-/// \brief Spill/merge accounting of one map task's shuffle.
+/// \brief Spill accounting of one map task's shuffle.
 struct ShuffleStats {
   int64_t spills = 0;
-  /// Bytes rewritten by the map-side merge of multi-run partitions (the
-  /// Fig. 5(b) "merge bytes" overhead).
-  int64_t merge_bytes = 0;
   /// Arena bytes sealed under per-chunk CRC32C sums at Finish (0 with
   /// checksumming disabled). With compression on, covers the compressed
   /// frames instead of raw arenas.
   int64_t checksummed_bytes = 0;
-  /// Serialized spill bytes before compression — every write, spills and
-  /// merge rewrites included (0 with compression off).
+  /// Serialized spill bytes before compression (0 with compression off).
   int64_t spill_bytes_raw = 0;
-  /// The same writes after BGZF framing: the bytes that actually hit
+  /// The same spills after BGZF framing: the bytes that actually hit
   /// "disk" in compressed mode.
   int64_t spill_bytes_compressed = 0;
-  /// Deflate cpu time across spill serialization and merge rewrites.
+  /// Deflate cpu time of spill serialization.
   int64_t compress_micros = 0;
-  /// Inflate cpu time of the map-side merge of compressed runs (the
-  /// reduce-side inflate lands in reduce counters instead).
-  int64_t decompress_micros = 0;
 };
 
 /// \brief Per-map-task shuffle accumulator: per-partition arenas plus
 /// sorted spill runs, with Hadoop sort-and-spill semantics.
 ///
 /// Usage: Add() every record; Finish() once; then read runs(p) — or
-/// compressed_runs(p) in compressed mode. After Finish every partition
-/// holds at most one run. Entry views stay valid for the lifetime of
-/// this object (it owns the arenas), including after the object is
-/// moved; compressed runs own their bytes outright.
+/// compressed_runs(p) in compressed mode. Partition p holds one sorted
+/// run per spill that found it dirty, in spill order; a reader merges
+/// them with ShuffleRunMerger, whose run-index tie-break keeps equal keys
+/// in emission order. Entry views stay valid for the lifetime of this
+/// object (it owns the arenas), including after the object is moved;
+/// compressed runs own their bytes outright.
 class ShuffleBuffer {
  public:
   /// Checksum granularity: one CRC32C per this many stored bytes, the
@@ -334,10 +330,8 @@ class ShuffleBuffer {
   /// sort buffer. Fails only if a compressed spill fails.
   Status Add(int p, std::string_view key, std::string_view value);
 
-  /// Final spill plus the map-side merge: collapses each partition's
-  /// spill runs into one sorted run, charging merge bytes. In compressed
-  /// mode the merge streams through lazy cursors and re-serializes, so
-  /// no whole run is ever inflated.
+  /// Final spill, then seals every partition's spill runs under their
+  /// checksums. No run is merged or rewritten.
   Status Finish();
 
   /// Recomputes partition `p`'s per-chunk CRC32C sums over its spill
@@ -376,15 +370,12 @@ class ShuffleBuffer {
     // Codec accounting local to this partition so parallel spills never
     // contend; folded into stats_ at Finish().
     BgzfCodecStats codec;
-    int64_t decompress_micros = 0;  // map-side merge inflate time
   };
 
   Status SpillAll();
   Status SpillPartition(Partition* part);
   // Serializes + compresses one sorted run and releases its arena bytes.
   Status CompressRun(Partition* part, const ShuffleRun& run);
-  void MergePartition(Partition* part);
-  Status MergeCompressedPartition(Partition* part);
   // Seals the partition's spill byte stream under per-chunk sums;
   // charges stats_.checksummed_bytes.
   void SealChecksums(Partition* part);

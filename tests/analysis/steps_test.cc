@@ -25,14 +25,6 @@ SamRecord Mapped(const std::string& name, int32_t ref, int64_t pos,
   return r;
 }
 
-TEST(SamToBamTest, ProducesReadableBam) {
-  SamHeader h = TestHeader();
-  std::vector<SamRecord> records = {Mapped("r1", 0, 10)};
-  auto bam = SamToBam(h, records).ValueOrDie();
-  auto [ph, pr] = ReadBam(bam).ValueOrDie();
-  EXPECT_EQ(pr, records);
-}
-
 TEST(AddReplaceReadGroupsTest, TagsEveryRecord) {
   SamHeader h = TestHeader();
   std::vector<SamRecord> records = {Mapped("r1", 0, 10), Mapped("r2", 0, 20)};

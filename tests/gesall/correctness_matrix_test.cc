@@ -269,8 +269,9 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
     return dopt;
   }
 
-  // A 64 KiB sort buffer, so spills and map-side merges run, and 64-pair
-  // aligner batches, so each streamed map task runs several.
+  // A 64 KiB sort buffer, so map tasks spill several runs per partition
+  // that their reduces merge, and 64-pair aligner batches, so each
+  // streamed map task runs several.
   static PipelineConfig ConfigFor(const Cell& cell, FaultInjector* injector,
                                   Executor* serial) {
     PipelineConfig config;
@@ -376,6 +377,23 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
       EXPECT_EQ(storage.shuffle_bytes_compressed, 0);
       EXPECT_EQ(storage.dfs_bytes_compressed, storage.dfs_bytes_raw);
     }
+    // Some shuffle round spilled more often than it ran map tasks, so a
+    // reduce merged several runs of one map task.
+    bool shuffled = false, multi_run = false;
+    for (const auto& round : stats) {
+      int64_t maps = 0;
+      bool reduces = false;
+      for (const TaskRecord& task : round.tasks) {
+        maps += task.type == TaskRecord::Type::kMap;
+        reduces |= task.type == TaskRecord::Type::kReduce;
+      }
+      if (!reduces) continue;
+      shuffled = true;
+      multi_run |= round.counters.Get("map_spills") > maps;
+    }
+    if (shuffled) {
+      EXPECT_TRUE(multi_run) << "no shuffle round spilled twice in a map task";
+    }
     const FaultToleranceSummary tasks =
         SummarizeFaultTolerance(merged, &dfs_stats);
     const NodeFailureSummary nodes = SummarizeNodeFailures(merged, &dfs_stats);
@@ -398,7 +416,7 @@ class CorrectnessMatrixTest : public testing::TestWithParam<Cell> {
     // The fused round charges its alignment and cleaning to
     // program_micros, as the barriered rounds 1 and 2 do. Without the
     // codec that is most of its map tasks' time; with it, the spill
-    // codec and map-side merges of a 64 KiB sort buffer can take half.
+    // codec of a 64 KiB sort buffer can take half.
     for (const auto& round : stats) {
       if (round.name != "round1_2_streamed" || round.tasks.empty()) continue;
       int64_t maps = 0;

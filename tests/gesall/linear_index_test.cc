@@ -5,6 +5,7 @@
 #include <set>
 
 #include "formats/bam.h"
+#include "util/io.h"
 #include "util/rng.h"
 
 namespace gesall {
@@ -128,6 +129,34 @@ TEST(LinearIndexEdgeTest, UnmappedTailIgnored) {
   EXPECT_EQ(index.record_count(), 101);
   auto got = ReadBamRegion(bam, index, 0, 1'000'000).ValueOrDie();
   EXPECT_EQ(got.size(), 100u);  // unmapped record not returned
+}
+
+// Round 5 reads each sidecar back from the DFS, so its window count is
+// untrusted: a 40-byte sidecar claiming 2^32 windows fails as Corruption
+// before any window vector is sized from the count, and so does every
+// truncated prefix of a real sidecar.
+TEST(LinearIndexEdgeTest, LyingWindowCountFailsAsCorruption) {
+  std::string lying;
+  BufferWriter w(&lying);
+  w.PutU64(uint64_t{1} << 32);  // window count
+  w.PutU64(0);                  // the one window present
+  w.PutU64(0);                  // end offset
+  w.PutI64(0);                  // record count
+  w.PutI64(0);                  // max span
+  ASSERT_EQ(lying.size(), 40u);
+  auto lied = LinearBamIndex::Deserialize(lying);
+  EXPECT_TRUE(lied.status().IsCorruption()) << lied.status().ToString();
+
+  auto bam =
+      WriteBam(TestHeader(), SortedRecords(500, 200'000, 7)).ValueOrDie();
+  const std::string sidecar =
+      LinearBamIndex::Build(bam).ValueOrDie().Serialize();
+  ASSERT_TRUE(LinearBamIndex::Deserialize(sidecar).ok());
+  for (size_t n = 0; n < sidecar.size(); ++n) {
+    auto cut = LinearBamIndex::Deserialize(sidecar.substr(0, n));
+    EXPECT_TRUE(cut.status().IsCorruption())
+        << n << " bytes: " << cut.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Partition output — build a reduce partition's BAM, write it to the DFS,
-// add the round-4 index sidecar — runs on the reduce's worker in both
-// engines. These tests pin what moved with it: a failed write still fails
-// RunAll() and leaves its round unsealed, and the time each round spends
-// on it shows in the round's own telemetry.
+// Partition output — build a partition's BAM, write it to the DFS, add
+// the round-4 index sidecar — runs on the worker of the task that made
+// the partition, a reduce or a map-only task, in both engines. These
+// tests pin what moved with it: a failed write still fails RunAll() and
+// leaves its round unsealed, and the time each round spends on it shows
+// in the round's own telemetry.
 
 #include <gtest/gtest.h>
 
@@ -75,8 +76,8 @@ GenomeIndex* PartitionOutputTest::index_ = nullptr;
 
 // Once round 1 is sealed, the durable DFS's block directory becomes a
 // plain file, so every later payload write fails with IOError. Round 2's
-// partitions are the first files written by partition-output callbacks:
-// RunAll() must return their error, and round 2 must never seal.
+// partitions are the first files written after that: RunAll() must
+// return their callbacks' error, and round 2 must never seal.
 TEST_P(PartitionOutputTest, FailedWriteFailsRunAndLeavesRoundUnsealed) {
   DfsOptions dopt;
   dopt.block_size = 64 * 1024;
@@ -102,9 +103,9 @@ TEST_P(PartitionOutputTest, FailedWriteFailsRunAndLeavesRoundUnsealed) {
   EXPECT_FALSE(dfs.Exists("/gesall/manifests/round-2"));
 }
 
-// A successful run charges each reduce round's partition output to its
-// partition_output_micros counter; the execution summary and the report
-// carry it per round.
+// A successful run charges the partition output of each stage that
+// writes parts, round 1 included, to its partition_output_micros
+// counter; the execution summary and the report carry it per round.
 TEST_P(PartitionOutputTest, RoundsReportPartitionOutputTime) {
   Dfs dfs(DfsOptions{});
   GesallPipeline pipeline(*ref_, *index_, &dfs, Config());
@@ -112,19 +113,20 @@ TEST_P(PartitionOutputTest, RoundsReportPartitionOutputTime) {
   auto variants = pipeline.RunAll();
   ASSERT_TRUE(variants.ok()) << variants.status().ToString();
 
-  int reduce_rounds = 0;
+  int writing_stages = 0;
   for (const auto& round : pipeline.stats()) {
-    const bool reduces = round.name == "round2_cleaning" ||
-                         round.name.rfind("round3_markdup", 0) == 0 ||
-                         round.name == "round4_sort";
-    if (!reduces) {
+    const bool writes = round.name == "round1_alignment" ||
+                        round.name == "round2_cleaning" ||
+                        round.name.rfind("round3_markdup", 0) == 0 ||
+                        round.name == "round4_sort";
+    if (!writes) {
       EXPECT_EQ(round.counters.Get(kPartitionOutputMicros), 0) << round.name;
       continue;
     }
-    ++reduce_rounds;
+    ++writing_stages;
     EXPECT_GT(round.counters.Get(kPartitionOutputMicros), 0) << round.name;
   }
-  EXPECT_EQ(reduce_rounds, 3);
+  EXPECT_EQ(writing_stages, 4);
 
   const ExecutionSummary& ex = pipeline.SummarizeExecution();
   double summed = 0;

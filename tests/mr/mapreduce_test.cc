@@ -137,7 +137,6 @@ TEST(MapReduceTest, SpillsWhenBufferSmall) {
                        [] { return std::make_unique<SumReducer>(); })
                     .ValueOrDie();
   EXPECT_GT(result.counters.Get("map_spills"), 1);
-  EXPECT_GT(result.counters.Get("map_merge_bytes"), 0);
   // Spilling must not change results.
   auto counts = CollectCounts(result);
   EXPECT_EQ(static_cast<int>(counts.size()), 200);
@@ -356,10 +355,17 @@ TEST(MapReduceTest, GatedSplitWaitsForReadySignal) {
 }
 
 // on_partition_output must fire once per reduce partition with that
-// partition's final values, before the job-level barrier.
+// partition's final values, before the job-level barrier; values handed
+// over are not returned again.
 TEST(MapReduceTest, PartitionOutputCallbackFiresPerReducer) {
+  const std::vector<InputSplit> splits = {InlineSplit("a b c d e f"),
+                                          InlineSplit("a c e")};
+  auto mapper = [] { return std::make_unique<WordCountMapper>(); };
+  auto reducer = [] { return std::make_unique<SumReducer>(); };
   JobConfig config;
   config.num_reducers = 3;
+  const JobResult expected =
+      MapReduceJob(config).Run(splits, mapper, reducer).ValueOrDie();
   std::mutex mu;
   std::map<int, std::vector<std::string>> seen;
   config.on_partition_output =
@@ -371,17 +377,57 @@ TEST(MapReduceTest, PartitionOutputCallbackFiresPerReducer) {
         EXPECT_EQ(counters.Get("reduce_output_records"),
                   static_cast<int64_t>(values.size()));
       };
-  MapReduceJob job(config);
-  auto result = job.Run(
-                       {InlineSplit("a b c d e f"), InlineSplit("a c e")},
-                       [] { return std::make_unique<WordCountMapper>(); },
-                       [] { return std::make_unique<SumReducer>(); })
-                    .ValueOrDie();
+  auto result = MapReduceJob(config).Run(splits, mapper, reducer).ValueOrDie();
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(seen.size(), 3u);
+  ASSERT_EQ(result.reducer_outputs.size(), 3u);
   for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(seen[r], result.reducer_outputs[r]) << "partition " << r;
+    EXPECT_EQ(seen[r], expected.reducer_outputs[r]) << "partition " << r;
+    EXPECT_TRUE(result.reducer_outputs[r].empty()) << "partition " << r;
   }
+}
+
+// A map-only job hands each map task's values to on_partition_output
+// once, on that task's worker, before Wait() returns, and charges the
+// hand-over to partition_output_micros; the result carries no values.
+TEST(MapReduceTest, PartitionOutputCallbackFiresPerMapOnlyTask) {
+  class EchoMapper : public Mapper {
+   public:
+    Status Map(const std::string& input, MapContext* ctx) override {
+      std::istringstream in(input);
+      std::string word;
+      while (in >> word) ctx->Emit("", word);
+      return Status::OK();
+    }
+  };
+  JobConfig config;
+  std::mutex mu;
+  std::map<int, std::vector<std::string>> seen;
+  config.on_partition_output =
+      [&](int partition, const std::vector<std::string>& values,
+          const JobCounters& counters) {
+        // Long enough that the hand-over's time cannot round to zero.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::lock_guard<std::mutex> lock(mu);
+        EXPECT_EQ(seen.count(partition), 0u);  // once per map task
+        seen[partition] = values;
+        EXPECT_EQ(counters.Get("map_output_records"),
+                  static_cast<int64_t>(values.size()));
+      };
+  MapReduceJob job(config);
+  auto handle =
+      job.StartMapOnly({InlineSplit("a b"), InlineSplit("c"), InlineSplit("")},
+                       [] { return std::make_unique<EchoMapper>(); });
+  auto result = handle.Wait().ValueOrDie();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(seen.size(), 3u);  // every hand-over ran before Wait()
+  EXPECT_EQ(seen[0], (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(seen[1], (std::vector<std::string>{"c"}));
+  EXPECT_TRUE(seen[2].empty());
+  ASSERT_EQ(result.reducer_outputs.size(), 3u);
+  for (const auto& out : result.reducer_outputs) EXPECT_TRUE(out.empty());
+  // Three hand-overs of at least 1 ms each, less float truncation.
+  EXPECT_GE(result.counters.Get(kPartitionOutputMicros), 2900);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The zero-copy shuffle data path: key-prefix comparator correctness
-// and ShuffleBuffer spill/merge accounting.
+// and ShuffleBuffer spills, merged by ShuffleRunMerger.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,19 @@ namespace {
 
 ShuffleEntry MakeEntry(std::string_view key) {
   return MakeShuffleEntry(key, std::string_view());
+}
+
+// Partition p's runs, merged as a reduce task merges them.
+std::vector<ShuffleEntry> Merged(const ShuffleBuffer& buffer, int p) {
+  std::vector<const ShuffleRun*> runs;
+  for (const auto& run : buffer.runs(p)) runs.push_back(&run);
+  ShuffleRunMerger merger(runs);
+  std::vector<ShuffleEntry> out;
+  for (const ShuffleEntry* e = merger.Next(); e != nullptr;
+       e = merger.Next()) {
+    out.push_back(*e);
+  }
+  return out;
 }
 
 // The comparator must order exactly like std::string comparison of the
@@ -62,34 +75,39 @@ TEST(ShuffleKeyTest, PrefixIsBigEndianZeroPadded) {
 }
 
 TEST(ShuffleBufferTest, SortsAndMergesAcrossSpills) {
-  // A 1-byte sort buffer forces a spill on every Add.
+  // A 1-byte sort buffer forces a spill on every Add. Each spill keeps
+  // its own run; the merger reads them in key order.
   ShuffleBuffer buffer(/*num_partitions=*/1, /*sort_buffer_bytes=*/1);
   ASSERT_TRUE(buffer.Add(0, "b", "2").ok());
   ASSERT_TRUE(buffer.Add(0, "a", "1").ok());
   ASSERT_TRUE(buffer.Add(0, "c", "3").ok());
   ASSERT_TRUE(buffer.Finish().ok());
-  ASSERT_EQ(buffer.runs(0).size(), 1u);  // merged to one run
-  const ShuffleRun& run = buffer.runs(0)[0];
-  ASSERT_EQ(run.size(), 3u);
-  EXPECT_EQ(run[0].key, "a");
-  EXPECT_EQ(run[1].key, "b");
-  EXPECT_EQ(run[2].key, "c");
   EXPECT_EQ(buffer.stats().spills, 3);
-  // Merge rewrites every entry of the multi-run partition.
-  EXPECT_EQ(buffer.stats().merge_bytes, 6);
+  ASSERT_EQ(buffer.runs(0).size(), 3u);  // one run per spill
+  const std::vector<ShuffleEntry> merged = Merged(buffer, 0);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0].key, "a");
+  EXPECT_EQ(merged[1].key, "b");
+  EXPECT_EQ(merged[2].key, "c");
+  EXPECT_EQ(merged[0].value, "1");
 }
 
 TEST(ShuffleBufferTest, StableForEqualKeys) {
-  ShuffleBuffer buffer(/*num_partitions=*/1, /*sort_buffer_bytes=*/1 << 20);
-  ASSERT_TRUE(buffer.Add(0, "k", "first").ok());
-  ASSERT_TRUE(buffer.Add(0, "k", "second").ok());
-  ASSERT_TRUE(buffer.Finish().ok());
-  const ShuffleRun& run = buffer.runs(0)[0];
-  ASSERT_EQ(run.size(), 2u);
-  EXPECT_EQ(run[0].value, "first");
-  EXPECT_EQ(run[1].value, "second");
-  EXPECT_EQ(buffer.stats().spills, 1);
-  EXPECT_EQ(buffer.stats().merge_bytes, 0);  // single run: no merge
+  // Equal keys keep emission order within one spill's run and, by the
+  // merger's run-index tie-break, across spills.
+  for (int64_t sort_buffer : {int64_t{1} << 20, int64_t{1}}) {
+    ShuffleBuffer buffer(/*num_partitions=*/1, sort_buffer);
+    ASSERT_TRUE(buffer.Add(0, "k", "first").ok());
+    ASSERT_TRUE(buffer.Add(0, "k", "second").ok());
+    ASSERT_TRUE(buffer.Finish().ok());
+    const int64_t spills = sort_buffer == 1 ? 2 : 1;
+    EXPECT_EQ(buffer.stats().spills, spills);
+    EXPECT_EQ(buffer.runs(0).size(), static_cast<size_t>(spills));
+    const std::vector<ShuffleEntry> merged = Merged(buffer, 0);
+    ASSERT_EQ(merged.size(), 2u);
+    EXPECT_EQ(merged[0].value, "first");
+    EXPECT_EQ(merged[1].value, "second");
+  }
 }
 
 }  // namespace

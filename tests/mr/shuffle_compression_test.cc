@@ -116,11 +116,14 @@ TEST(ShuffleCompressionTest, DifferentialMergeByteIdentical) {
           << "partition " << p << " sort_buffer " << sort_buffer;
       EXPECT_TRUE(packed.VerifyPartition(p).ok());
     }
-    // The small sort buffer forces spills; the map-side merge must have
-    // streamed through lazy cursors (decompress time) and re-serialized.
+    // The small sort buffer forces spills, and each partition keeps one
+    // compressed run per spill, as many as the plain buffer keeps.
     if (sort_buffer == 512) {
       EXPECT_GT(packed.stats().spills, 1);
-      EXPECT_GT(packed.stats().merge_bytes, 0);
+      for (int p = 0; p < 3; ++p) {
+        EXPECT_GT(packed.compressed_runs(p).size(), 1u) << "partition " << p;
+        EXPECT_EQ(packed.compressed_runs(p).size(), plain.runs(p).size());
+      }
     }
   }
 }
